@@ -497,3 +497,53 @@ func TestRuntimeToggleThenMutate(t *testing.T) {
 	}
 	assertCountingTwinsEqual(t, on, off, firedOn, firedOff, outOn, outOff)
 }
+
+// TestRebuildNeverRunsStalePlans: compiled differential plans belong to
+// the network that compiled them. Whatever invalidates the network — a
+// new shared view, a capability declaration, a maintenance toggle —
+// builds new plans on a new evaluator, and the old network's evaluator
+// never scans another tuple.
+func TestRebuildNeverRunsStalePlans(t *testing.T) {
+	db := Open()
+	if err := db.RegisterProcedure("record", func([]Value) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	db.MustExec(countingSchema)
+	q := int64(50)
+	update := func() {
+		q-- // a fresh value every time, so the Δ-set is never empty
+		db.MustExec(fmt.Sprintf("begin; set quantity(:i1) = %d; commit;", q))
+	}
+	update()
+	for _, inv := range []struct {
+		name string
+		do   func()
+	}{
+		{"ShareView", func() {
+			db.MustExec("create shared function slack(item i) -> integer as select quantity(i) - min_stock(i);")
+		}},
+		{"declare", func() { db.MustExec("declare min_stock readonly;") }},
+		{"SetCounting", func() { db.SetCounting(true) }},
+	} {
+		old := db.Session().Rules().Network()
+		scanned := old.Evaluator().ScannedTuples()
+		if scanned == 0 {
+			t.Fatalf("%s: the network about to be replaced never evaluated anything", inv.name)
+		}
+		inv.do()
+		update()
+		cur := db.Session().Rules().Network()
+		if cur == old {
+			t.Fatalf("%s did not rebuild the network", inv.name)
+		}
+		if got := old.Evaluator().ScannedTuples(); got != scanned {
+			t.Errorf("%s: the replaced network's evaluator scanned %d more tuples", inv.name, got-scanned)
+		}
+		if cur.Evaluator().ScannedTuples() == 0 {
+			t.Errorf("%s: the rebuilt network evaluated nothing", inv.name)
+		}
+	}
+	if err := db.CheckInvariants(); err != nil {
+		t.Error(err)
+	}
+}

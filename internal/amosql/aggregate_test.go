@@ -212,3 +212,22 @@ set works_in(:x1) = :rnd;
 		t.Errorf("headcount not in explanation: %+v", ex[0].Entries)
 	}
 }
+
+// TestNegatedAggregateComparison: `not (aggfn(x) = v)` compiles to a
+// negated call to the aggregate view with the value bound; it must
+// compare the folded value, not just find the group.
+func TestNegatedAggregateComparison(t *testing.T) {
+	s := hrSession(t)
+	for _, tc := range []struct {
+		v    string
+		want int
+	}{{"999", 2}, {"200", 1}, {"300", 1}} {
+		r, err := s.Query(`select d for each department d where not (payroll(d) = ` + tc.v + `);`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(r.Tuples) != tc.want {
+			t.Errorf("not (payroll(d) = %s): %v, want %d departments", tc.v, r.Tuples, tc.want)
+		}
+	}
+}

@@ -251,7 +251,7 @@ func makeDifferential(view string, c objectlog.Clause, disjunct, idx int,
 // literal is set-valued here (base relations and deduplicated derived
 // sub-queries; a negated literal is the 0/1 factor 1−X, whose delta is
 // −ΔX — the usual sign crossing with multiplicity one). Evaluated
-// under bag semantics (eval.EvalClauseBag) each produced head tuple is
+// under bag semantics (eval.Plan.ExecBag) each produced head tuple is
 // one derivation gained (EffectSign Δ+) or lost (Δ−), so folding the
 // results into a per-tuple support count maintains the exact
 // derivation count of every view tuple.

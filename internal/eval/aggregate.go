@@ -7,59 +7,28 @@ import (
 	"partdiff/internal/types"
 )
 
-// evalAggregate evaluates a call to an aggregate view (extension; §8 of
-// the paper lists aggregates as future work). The definition's clauses
+// aggregate evaluates a call to an aggregate view (extension; §8 of the
+// paper lists aggregates as future work). The definition's clauses
 // compute the pre-aggregation relation (group key ++ witnesses ++
-// value); this evaluates them — seeded with any bound group-key
-// arguments — groups, folds, and unifies the folded tuples with the
-// call.
-func (e *Evaluator) evalAggregate(def *objectlog.Def, call objectlog.Literal, b *bindings, depth int, cont func() error) error {
+// value); this runs their sub-plans — seeded with any bound group-key
+// arguments of vals, as mask says — groups, folds, and hands each folded
+// tuple to each (which unifies it with the call).
+func (e *Evaluator) aggregate(pi *predInfo, mask uint64, old bool, vals types.Tuple, depth int, each func(types.Tuple) error) error {
+	def := pi.def
 	g := def.GroupCols
-	if len(call.Args) != g+1 {
-		return fmt.Errorf("aggregate %s called with arity %d, want %d", def.Name, len(call.Args), g+1)
+	if len(vals) != g+1 {
+		return fmt.Errorf("aggregate %s called with arity %d, want %d", def.Name, len(vals), g+1)
+	}
+	plans, err := e.subPlans(pi, mask&(1<<uint(g)-1), old)
+	if err != nil {
+		return err
 	}
 	// Pre-aggregation tuples, deduplicated across clauses (set
 	// semantics over group ++ witnesses ++ value).
 	pre := types.NewSet()
-	for _, dc := range def.Clauses {
-		fresh := dc.RenameApart(&e.counter)
-		if call.Old {
-			fresh = oldClause(fresh)
-		}
-		sub := newBindings()
-		okClause := true
-		for i := 0; i < g && okClause; i++ {
-			cv, bok := b.value(call.Args[i])
-			if !bok {
-				continue
-			}
-			ha := fresh.Head.Args[i]
-			if ha.IsVar {
-				if prev, dup := sub.value(objectlog.V(ha.Var)); dup {
-					okClause = prev.Equal(cv)
-					continue
-				}
-				sub.bind(ha.Var, cv)
-			} else if !ha.Const.Equal(cv) {
-				okClause = false
-			}
-		}
-		if !okClause {
-			continue
-		}
-		err := e.evalBody(fresh.Body, sub, depth+1, func() error {
-			t := make(types.Tuple, len(fresh.Head.Args))
-			for i, ha := range fresh.Head.Args {
-				v, ok := sub.value(ha)
-				if !ok {
-					return fmt.Errorf("aggregate %s: head variable %s unbound", def.Name, ha.Var)
-				}
-				t[i] = v
-			}
-			pre.Add(t)
-			return nil
-		})
-		if err != nil {
+	collect := func(t types.Tuple) error { pre.Add(t); return nil }
+	for _, p := range plans {
+		if err := p.run(vals, depth+1, collect); err != nil {
 			return err
 		}
 	}
@@ -118,37 +87,11 @@ func (e *Evaluator) evalAggregate(def *objectlog.Def, call objectlog.Literal, b 
 		}
 		out.Add(append(st.key.Clone(), folded))
 	}
-	// Unify each folded tuple with the call arguments (deterministic
-	// order for reproducible evaluation).
+	// Deterministic order for reproducible evaluation.
 	for _, t := range out.Tuples() {
-		m := b.mark()
-		local := map[string]int{}
-		match := true
-		for i, ca := range call.Args {
-			if v, ok := b.value(ca); ok {
-				if !t[i].Equal(v) {
-					match = false
-					break
-				}
-				continue
-			}
-			if j, dup := local[ca.Var]; dup {
-				if !t[i].Equal(t[j]) {
-					match = false
-					break
-				}
-				continue
-			}
-			local[ca.Var] = i
-			b.bind(ca.Var, t[i])
+		if err := each(t); err != nil {
+			return err
 		}
-		if match {
-			if err := cont(); err != nil {
-				b.undo(m)
-				return err
-			}
-		}
-		b.undo(m)
 	}
 	return nil
 }

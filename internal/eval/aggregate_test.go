@@ -174,3 +174,31 @@ func TestAggregateSumTypeError(t *testing.T) {
 		t.Error("summing a string should error")
 	}
 }
+
+// TestAggregateNegatedCall: a negated call to an aggregate view is
+// seeded on the group key only, so the folded value must still be
+// compared with the call — ¬payroll(D, 999) holds for every department
+// whose payroll is not 999.
+func TestAggregateNegatedCall(t *testing.T) {
+	env := aggDB(t)
+	for _, tc := range []struct {
+		v    int64
+		want *types.Set
+	}{
+		{999, types.NewSet(tup(1), tup(2))},
+		{200, types.NewSet(tup(2))},
+		{300, types.NewSet(tup(1))},
+	} {
+		c := objectlog.NewClause(
+			objectlog.Lit("h", objectlog.V("D")),
+			objectlog.Lit("works_in", objectlog.V("E"), objectlog.V("D")),
+			objectlog.NotLit("payroll", objectlog.V("D"), objectlog.CInt(tc.v)))
+		out := types.NewSet()
+		if err := New(env).EvalClause(c, out); err != nil {
+			t.Fatal(err)
+		}
+		if !out.Equal(tc.want) {
+			t.Errorf("works_in(E,D) ∧ ¬payroll(D,%d) = %s, want %s", tc.v, out, tc.want)
+		}
+	}
+}

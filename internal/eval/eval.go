@@ -23,8 +23,7 @@ type Env interface {
 
 // Evaluator evaluates conjunctive ObjectLog clauses against an Env.
 type Evaluator struct {
-	env     Env
-	counter int // fresh-variable counter for subquery renaming
+	env Env
 	// MaxDepth bounds derived-subquery nesting as a recursion backstop.
 	MaxDepth int
 	// fixpoint overrides predicate extents while a recursive component
@@ -39,13 +38,21 @@ type Evaluator struct {
 	// evaluator runs on one goroutine (enforced by the session guard).
 	scanned int64
 	// stats, when set, feeds and is consulted by the adaptive join
-	// optimizer (see literalCost); nil keeps the static cost model.
+	// optimizer (see stepCost); nil keeps the static cost model.
 	stats *Stats
+
+	// Plan caches. preds holds the derived sub-plans and is valid for one
+	// program epoch; gen numbers the public entry points, so a plan can
+	// tell the sources it resolved for this execution from stale ones.
+	epoch uint64
+	preds map[string]*predInfo
+	gen   uint64
+	held  []*Plan // plans holding sources resolved in this generation
 }
 
 // New returns an evaluator over env.
 func New(env Env) *Evaluator {
-	return &Evaluator{env: env, MaxDepth: 64, met: &Metrics{}}
+	return &Evaluator{env: env, MaxDepth: 64, met: &Metrics{}, preds: map[string]*predInfo{}}
 }
 
 // ScannedTuples returns the cumulative number of tuples this evaluator
@@ -56,7 +63,7 @@ func (e *Evaluator) ScannedTuples() int64 { return e.scanned }
 
 // SetStats installs (or, with nil, removes) the observed-statistics
 // table: evaluation starts recording observed cardinalities and scan
-// volumes into it, and literalCost starts preferring them over its
+// volumes into it, and stepCost starts preferring them over its
 // static guesses.
 func (e *Evaluator) SetStats(s *Stats) { e.stats = s }
 
@@ -64,92 +71,111 @@ func (e *Evaluator) SetStats(s *Stats) { e.stats = s }
 // static cost model is in use).
 func (e *Evaluator) Stats() *Stats { return e.stats }
 
-// bindings maps variable names to values with an undo trail.
-type bindings struct {
-	vals  map[string]types.Value
-	trail []string
+// predInfo is what the evaluator knows about one derived predicate for
+// the current program epoch: its definition, whether it is recursive,
+// and the sub-plans compiled so far — one per clause for every (bound
+// call positions, state) it has been called with.
+type predInfo struct {
+	def       *objectlog.Def
+	recursive bool
+	subs      map[subKey][]*Plan
 }
 
-func newBindings() *bindings {
-	return &bindings{vals: make(map[string]types.Value)}
+type subKey struct {
+	mask uint64
+	old  bool
 }
 
-func (b *bindings) mark() int { return len(b.trail) }
-
-func (b *bindings) undo(mark int) {
-	for i := len(b.trail) - 1; i >= mark; i-- {
-		delete(b.vals, b.trail[i])
+// enter opens a public entry point: it starts a new generation — plans
+// resolve their sources afresh — and drops every cached sub-plan if the
+// program changed since the last entry (plans held by callers notice the
+// same way, in prepare). Every enter is paired with an exit; entry points
+// do not nest (no emit callback calls back into the evaluator).
+func (e *Evaluator) enter() {
+	e.gen++
+	if ep := e.env.Program().Epoch(); ep != e.epoch {
+		e.epoch, e.preds = ep, map[string]*predInfo{}
 	}
-	b.trail = b.trail[:mark]
 }
 
-func (b *bindings) bind(v string, val types.Value) {
-	b.vals[v] = val
-	b.trail = append(b.trail, v)
-}
-
-// value resolves a term under the bindings; ok is false for an unbound
-// variable.
-func (b *bindings) value(t objectlog.Term) (types.Value, bool) {
-	if !t.IsVar {
-		return t.Const, true
+// exit closes a public entry point and drops the sources resolved since
+// enter: they are views of one round's Δ-sets or one query's snapshot,
+// and a plan must not keep them alive, let alone reuse them.
+func (e *Evaluator) exit() {
+	for _, p := range e.held {
+		clear(p.res)
 	}
-	v, ok := b.vals[t.Var]
-	return v, ok
+	clear(e.held)
+	e.held = e.held[:0]
 }
 
-// EvalClause evaluates the clause and adds the resulting head tuples to
-// out (set semantics).
-func (e *Evaluator) EvalClause(c objectlog.Clause, out *types.Set) error {
-	return e.EvalClauseSeeded(c, nil, out)
-}
-
-// EvalClauseSeeded evaluates the clause with initial variable bindings
-// (seed may be nil) and adds head tuples to out.
-func (e *Evaluator) EvalClauseSeeded(c objectlog.Clause, seed map[string]types.Value, out *types.Set) error {
-	e.met.Clauses.Inc()
-	b := newBindings()
-	for v, val := range seed {
-		b.bind(v, val)
+// pred returns the cache entry of a derived predicate (nil for any other
+// name).
+func (e *Evaluator) pred(name string) *predInfo {
+	if pi, ok := e.preds[name]; ok {
+		return pi
 	}
-	return e.evalBody(c.Body, b, 0, func() error {
-		t := make(types.Tuple, len(c.Head.Args))
-		for i, a := range c.Head.Args {
-			v, ok := b.value(a)
-			if !ok {
-				return &objectlog.SafetyError{Var: a.Var, Where: "head", Clause: c.String()}
-			}
-			t[i] = v
-		}
-		out.Add(t)
+	prog := e.env.Program()
+	def, ok := prog.Def(name)
+	if !ok {
 		return nil
-	})
+	}
+	pi := &predInfo{def: def, recursive: prog.IsRecursive(name), subs: map[subKey][]*Plan{}}
+	e.preds[name] = pi
+	return pi
 }
 
-// EvalClauseBag evaluates the clause under bag semantics: emit is
-// called once per complete body solution (derivation) with the
-// projected head tuple, without deduplication. Derived sub-literals
-// still deduplicate internally (evalDerived's set semantics below the
-// top level), so over a stratified program the number of emissions of
-// a head tuple t is exactly t's derivation count under this clause —
-// the quantity counting maintenance tracks.
-func (e *Evaluator) EvalClauseBag(c objectlog.Clause, seed map[string]types.Value, emit func(types.Tuple) error) error {
-	e.met.Clauses.Inc()
-	b := newBindings()
-	for v, val := range seed {
-		b.bind(v, val)
+// subPlans returns the definition's clauses compiled for a call with the
+// given positions bound, in the old or new state: the head variables at
+// those positions start bound, which is what lets the body be ordered
+// around them. (An aggregate is only ever seeded on its group key.)
+func (e *Evaluator) subPlans(pi *predInfo, mask uint64, old bool) ([]*Plan, error) {
+	key := subKey{mask, old}
+	if ps, ok := pi.subs[key]; ok {
+		return ps, nil
 	}
-	return e.evalBody(c.Body, b, 0, func() error {
-		t := make(types.Tuple, len(c.Head.Args))
-		for i, a := range c.Head.Args {
-			v, ok := b.value(a)
-			if !ok {
-				return &objectlog.SafetyError{Var: a.Var, Where: "head", Clause: c.String()}
-			}
-			t[i] = v
+	ps := make([]*Plan, len(pi.def.Clauses))
+	for i, c := range pi.def.Clauses {
+		if old {
+			c = oldClause(c)
 		}
-		return emit(t)
-	})
+		var err error
+		if ps[i], err = e.compile(c, mask); err != nil {
+			return nil, err
+		}
+	}
+	pi.subs[key] = ps
+	return ps, nil
+}
+
+// EvalClause compiles and runs a one-off clause, adding the resulting
+// head tuples to out (set semantics).
+func (e *Evaluator) EvalClause(c objectlog.Clause, out *types.Set) error {
+	p, err := e.Compile(c)
+	if err != nil {
+		return err
+	}
+	return p.Exec(out)
+}
+
+// Exec runs the plan and adds the resulting head tuples to out (set
+// semantics).
+func (p *Plan) Exec(out *types.Set) error {
+	return p.ExecBag(func(t types.Tuple) error { out.Add(t); return nil })
+}
+
+// ExecBag runs the plan under bag semantics: emit is called once per
+// complete body solution (derivation) with the projected head tuple,
+// without deduplication. Derived sub-literals still deduplicate
+// internally (set semantics below the top level), so over a stratified
+// program the number of emissions of a head tuple t is exactly t's
+// derivation count under this clause — the quantity counting
+// maintenance tracks.
+func (p *Plan) ExecBag(emit func(types.Tuple) error) error {
+	p.e.enter()
+	defer p.e.exit()
+	p.e.met.Clauses.Inc()
+	return p.run(nil, 0, emit)
 }
 
 // EvalDefBag enumerates the bag extent of a non-aggregate derived
@@ -162,11 +188,14 @@ func (e *Evaluator) EvalDefBag(def *objectlog.Def, old bool, emit func(types.Tup
 		return fmt.Errorf("definition of %s is an aggregate view; it has no bag extent", def.Name)
 	}
 	for _, c := range def.Clauses {
-		cc := c
 		if old {
-			cc = oldClause(c)
+			c = oldClause(c)
 		}
-		if err := e.EvalClauseBag(cc, nil, emit); err != nil {
+		p, err := e.Compile(c)
+		if err != nil {
+			return err
+		}
+		if err := p.ExecBag(emit); err != nil {
 			return err
 		}
 	}
@@ -195,67 +224,69 @@ func (e *Evaluator) ExtentEstimate(pred string) int {
 // EvalPred computes the full extent of a predicate (base or derived)
 // in the new or old state — naive evaluation.
 func (e *Evaluator) EvalPred(pred string, old bool) (*types.Set, error) {
+	e.enter()
+	defer e.exit()
 	out := types.NewSet()
-	if def, ok := e.env.Program().Def(pred); ok {
-		if def.Aggregate != "" {
-			// Aggregate views: evaluate through the call path, which
-			// groups and folds.
-			args := make([]objectlog.Term, def.ExternalArity())
-			for i := range args {
-				args[i] = objectlog.V(fmt.Sprintf("_A%d", i))
-			}
-			head := objectlog.Literal{Pred: "_agg_extent", Args: args}
-			body := objectlog.Literal{Pred: pred, Args: args, Old: old}
-			if err := e.EvalClause(objectlog.Clause{Head: head, Body: []objectlog.Literal{body}}, out); err != nil {
-				return nil, err
-			}
-			if !old {
-				e.stats.RecordPred(pred, out.Len())
-			}
-			return out, nil
+	pi := e.pred(pred)
+	if pi == nil {
+		src, err := e.env.Source(pred, objectlog.DeltaNone, old)
+		if err != nil {
+			return nil, err
 		}
-		for _, c := range def.Clauses {
-			cc := c
-			if old {
-				cc = oldClause(c)
-			}
-			if err := e.EvalClause(cc, out); err != nil {
-				return nil, err
-			}
-		}
-		if !old {
-			e.stats.RecordPred(pred, out.Len())
-		}
+		src.Each(func(t types.Tuple) bool {
+			out.Add(t)
+			return true
+		})
 		return out, nil
 	}
-	src, err := e.env.Source(pred, objectlog.DeltaNone, old)
-	if err != nil {
-		return nil, err
+	add := func(t types.Tuple) error { out.Add(t); return nil }
+	if pi.def.Aggregate != "" {
+		// Aggregate views: evaluate through the call path, which groups
+		// and folds.
+		e.met.Clauses.Inc()
+		if err := e.aggregate(pi, 0, old, make(types.Tuple, pi.def.ExternalArity()), 0, add); err != nil {
+			return nil, err
+		}
+	} else {
+		plans, err := e.subPlans(pi, 0, old)
+		if err != nil {
+			return nil, err
+		}
+		for _, p := range plans {
+			e.met.Clauses.Inc()
+			if err := p.run(nil, 0, add); err != nil {
+				return nil, err
+			}
+		}
 	}
-	src.Each(func(t types.Tuple) bool {
-		out.Add(t)
-		return true
-	})
+	if !old {
+		e.stats.RecordPred(pred, out.Len())
+	}
 	return out, nil
 }
 
 // Derivable reports whether pred(args) holds in the new or old state,
-// without computing the full extent.
+// without computing the full extent: a membership probe on a base
+// relation, the fully bound sub-plans of a derived predicate.
 func (e *Evaluator) Derivable(pred string, args types.Tuple, old bool) (bool, error) {
-	lit := objectlog.Literal{Pred: pred, Old: old}
-	lit.Args = make([]objectlog.Term, len(args))
-	for i, v := range args {
-		lit.Args[i] = objectlog.C(v)
-	}
-	if objectlog.IsBuiltin(pred) {
-		lit.Old = false
-	}
+	e.enter()
+	defer e.exit()
 	found := false
-	b := newBindings()
-	err := e.evalBody([]objectlog.Literal{lit}, b, 0, func() error {
-		found = true
-		return errStop
-	})
+	hit := func(types.Tuple) error { found = true; return errStop }
+	var err error
+	switch pi := e.pred(pred); {
+	case pi == nil || pi.recursive || pi.def.Aggregate != "" || objectlog.IsBuiltin(pred):
+		lit := objectlog.Literal{Pred: pred, Old: old && !objectlog.IsBuiltin(pred), Args: make([]objectlog.Term, len(args))}
+		for i, v := range args {
+			lit.Args[i] = objectlog.C(v)
+		}
+		var p *Plan
+		if p, err = e.compile(objectlog.Clause{Body: []objectlog.Literal{lit}}, 0); err == nil {
+			err = p.run(nil, 0, hit)
+		}
+	default:
+		err = e.derive(pi, 1<<uint(len(args))-1, old, args, 0, hit)
+	}
 	if err == errStop {
 		err = nil
 	}
@@ -277,155 +308,16 @@ func oldClause(c objectlog.Clause) objectlog.Clause {
 	return out
 }
 
-// evalBody evaluates the remaining body literals under b, calling emit
-// for every complete solution. The body is reordered greedily at each
-// step: the cheapest *ready* literal runs next.
-func (e *Evaluator) evalBody(body []objectlog.Literal, b *bindings, depth int, emit func() error) error {
-	if depth > e.MaxDepth {
-		return fmt.Errorf("evaluation exceeded max derivation depth %d (recursive view?)", e.MaxDepth)
+// derivedSize is the extent a derived literal is costed at: a flat
+// "moderately expensive" guess, unless the workload has shown otherwise.
+func (e *Evaluator) derivedSize(pred string) int {
+	if e.stats == nil {
+		return 10000
 	}
-	if len(body) == 0 {
-		return emit()
+	if c, ok := e.stats.PredCard(pred); ok {
+		return c
 	}
-	idx, err := e.pickNext(body, b)
-	if err != nil {
-		return err
-	}
-	lit := body[idx]
-	rest := make([]objectlog.Literal, 0, len(body)-1)
-	rest = append(rest, body[:idx]...)
-	rest = append(rest, body[idx+1:]...)
-	cont := func() error { return e.evalBody(rest, b, depth, emit) }
-
-	switch {
-	case objectlog.IsBuiltin(lit.Pred):
-		return e.evalBuiltin(lit, b, cont)
-	case lit.Negated:
-		return e.evalNegated(lit, b, depth, cont)
-	default:
-		return e.evalRelational(lit, b, depth, cont)
-	}
-}
-
-// pickNext chooses the cheapest ready literal. Ready means: builtins
-// and negated literals need their inputs bound; relational literals are
-// always ready (worst case a scan).
-func (e *Evaluator) pickNext(body []objectlog.Literal, b *bindings) (int, error) {
-	best, bestCost := -1, int(1)<<62
-	for i, lit := range body {
-		c, ready := e.literalCost(lit, b)
-		if !ready {
-			continue
-		}
-		if c < bestCost {
-			best, bestCost = i, c
-		}
-	}
-	if best < 0 {
-		return 0, &objectlog.SafetyError{Where: fmt.Sprintf("%v", body)}
-	}
-	return best, nil
-}
-
-// literalCost estimates the cost of evaluating lit next given the
-// current bindings. Lower is better. With an observed-statistics table
-// installed (SetStats), two static guesses are replaced by workload
-// history: the flat "derived subqueries cost 10000" becomes the
-// observed (or structurally estimated, see derivedPrior) extent
-// cardinality, and the index-selectivity formula becomes the observed
-// scan volume of this exact literal shape. Δ-set costs stay static —
-// wave fronts change every round, so history carries no signal.
-func (e *Evaluator) literalCost(lit objectlog.Literal, b *bindings) (cost int, ready bool) {
-	boundArgs, totalVars := 0, 0
-	var mask uint32
-	for i, a := range lit.Args {
-		if !a.IsVar {
-			boundArgs++
-			mask |= 1 << uint(i%32)
-			continue
-		}
-		totalVars++
-		if _, ok := b.value(a); ok {
-			boundArgs++
-			mask |= 1 << uint(i%32)
-		}
-	}
-	allBound := boundArgs == len(lit.Args)
-
-	switch {
-	case objectlog.IsComparison(lit.Pred):
-		if lit.Pred == objectlog.BuiltinEQ {
-			// eq can bind one free side.
-			if boundArgs >= 1 {
-				return 0, true
-			}
-			return 0, false
-		}
-		return 0, allBound
-	case objectlog.IsArithmetic(lit.Pred):
-		// inputs must be bound; output may be free.
-		in := 0
-		for _, a := range lit.Args[:2] {
-			if !a.IsVar {
-				in++
-			} else if _, ok := b.value(a); ok {
-				in++
-			}
-		}
-		return 1, in == 2
-	case lit.Negated:
-		return 2, allBound
-	}
-	// Relational literal (base, derived, delta, old, type extent).
-	var size int
-	derived := lit.Delta == objectlog.DeltaNone && e.env.Program().IsDerived(lit.Pred)
-	if derived {
-		// Derived subquery: guess moderately expensive — unless the
-		// workload has shown otherwise.
-		size = 10000
-		if e.stats != nil {
-			if c, ok := e.stats.PredCard(lit.Pred); ok {
-				size = c
-			} else {
-				size = e.derivedPrior(lit.Pred)
-			}
-		}
-	} else if src, err := e.env.Source(lit.Pred, lit.Delta, lit.Old); err == nil {
-		size = src.Len()
-	} else {
-		size = 1 << 20
-	}
-	if lit.Delta != objectlog.DeltaNone {
-		// Δ-sets are unindexed wave-front materializations: a bound
-		// lookup still scans the whole set, so prefer anchoring the
-		// evaluation on the Δ-set (scanning it once) over probing it
-		// per outer binding.
-		switch {
-		case allBound:
-			return 3, true // hash membership probe
-		case boundArgs > 0:
-			return 8 + size, true // linear filter per probe
-		default:
-			return 6 + size, true // anchor scan — cheapest entry point
-		}
-	}
-	switch {
-	case allBound:
-		return 3, true // membership probe
-	case boundArgs > 0:
-		if e.stats != nil && !derived {
-			// Prefer the observed scan volume of this exact shape
-			// (predicate + bound positions) over the blind selectivity
-			// formula: a "selective-looking" index probe that in fact
-			// matches half the relation gets re-ranked accordingly.
-			if s, ok := e.stats.LitScanned(lit.Pred, lit.Delta, mask); ok {
-				return 8 + s, true
-			}
-		}
-		return 8 + size/(boundArgs*8+1), true // index lookup estimate
-	default:
-		return 16 + size*4, true // full scan
-	}
+	return e.derivedPrior(pred)
 }
 
 // derivedPrior estimates a derived predicate's extent before any full
@@ -465,340 +357,4 @@ func (e *Evaluator) derivedPrior(pred string) int {
 		total += best
 	}
 	return total
-}
-
-// evalBuiltin evaluates a comparison or arithmetic literal.
-func (e *Evaluator) evalBuiltin(lit objectlog.Literal, b *bindings, cont func() error) error {
-	if objectlog.IsComparison(lit.Pred) {
-		if len(lit.Args) != 2 {
-			return fmt.Errorf("builtin %s expects 2 args", lit.Pred)
-		}
-		av, aok := b.value(lit.Args[0])
-		bv, bok := b.value(lit.Args[1])
-		if lit.Pred == objectlog.BuiltinEQ && (!aok || !bok) {
-			// Binding equality.
-			switch {
-			case aok && lit.Args[1].IsVar:
-				m := b.mark()
-				b.bind(lit.Args[1].Var, av)
-				err := cont()
-				b.undo(m)
-				return err
-			case bok && lit.Args[0].IsVar:
-				m := b.mark()
-				b.bind(lit.Args[0].Var, bv)
-				err := cont()
-				b.undo(m)
-				return err
-			default:
-				return fmt.Errorf("eq with both sides unbound")
-			}
-		}
-		if !aok || !bok {
-			return fmt.Errorf("comparison %s on unbound variable", lit)
-		}
-		neg := lit.Negated
-		if cmpHolds(lit.Pred, av, bv) != neg {
-			return cont()
-		}
-		return nil
-	}
-	// Arithmetic: op(a, b, r).
-	if len(lit.Args) != 3 {
-		return fmt.Errorf("builtin %s expects 3 args", lit.Pred)
-	}
-	av, aok := b.value(lit.Args[0])
-	bv, bok := b.value(lit.Args[1])
-	if !aok || !bok {
-		return fmt.Errorf("arithmetic %s on unbound input", lit)
-	}
-	var res types.Value
-	var err error
-	switch lit.Pred {
-	case objectlog.BuiltinPlus:
-		res, err = types.Add(av, bv)
-	case objectlog.BuiltinMinus:
-		res, err = types.Sub(av, bv)
-	case objectlog.BuiltinTimes:
-		res, err = types.Mul(av, bv)
-	case objectlog.BuiltinDiv:
-		res, err = types.Div(av, bv)
-	}
-	if err != nil {
-		// Arithmetic failure (e.g. division by zero) fails the
-		// conjunction rather than aborting the query.
-		return nil
-	}
-	rv, rok := b.value(lit.Args[2])
-	if rok {
-		if rv.Equal(res) != lit.Negated {
-			return cont()
-		}
-		return nil
-	}
-	if !lit.Args[2].IsVar {
-		return nil
-	}
-	m := b.mark()
-	b.bind(lit.Args[2].Var, res)
-	err = cont()
-	b.undo(m)
-	return err
-}
-
-func cmpHolds(pred string, a, b types.Value) bool {
-	switch pred {
-	case objectlog.BuiltinEQ:
-		return a.Equal(b)
-	case objectlog.BuiltinNE:
-		return !a.Equal(b)
-	}
-	c := a.Compare(b)
-	switch pred {
-	case objectlog.BuiltinLT:
-		return c < 0
-	case objectlog.BuiltinLE:
-		return c <= 0
-	case objectlog.BuiltinGT:
-		return c > 0
-	case objectlog.BuiltinGE:
-		return c >= 0
-	}
-	return false
-}
-
-// evalNegated succeeds iff the positive version of lit has no solution
-// under the current (complete) bindings.
-func (e *Evaluator) evalNegated(lit objectlog.Literal, b *bindings, depth int, cont func() error) error {
-	pos := lit
-	pos.Negated = false
-	found := false
-	err := e.evalRelationalMatch(pos, b, depth, func() error {
-		found = true
-		return errStop
-	})
-	if err != nil && err != errStop {
-		return err
-	}
-	if !found {
-		return cont()
-	}
-	return nil
-}
-
-// evalRelational evaluates a positive relational literal: a derived
-// subquery or a source lookup.
-func (e *Evaluator) evalRelational(lit objectlog.Literal, b *bindings, depth int, cont func() error) error {
-	return e.evalRelationalMatch(lit, b, depth, cont)
-}
-
-func (e *Evaluator) evalRelationalMatch(lit objectlog.Literal, b *bindings, depth int, cont func() error) error {
-	if lit.Delta == objectlog.DeltaNone {
-		if ext, ok := e.fixpoint[lit.Pred]; ok {
-			// Inside a fixpoint iteration: component members resolve to
-			// the current materialized extents.
-			return e.matchSource(NewSetSource(ext, len(lit.Args)), lit, b, cont)
-		}
-		if def, ok := e.env.Program().Def(lit.Pred); ok {
-			if e.env.Program().IsRecursive(lit.Pred) {
-				return e.evalRecursive(lit, b, depth, cont)
-			}
-			return e.evalDerived(def, lit, b, depth, cont)
-		}
-	}
-	src, err := e.env.Source(lit.Pred, lit.Delta, lit.Old)
-	if err != nil {
-		return err
-	}
-	if len(lit.Args) != src.Arity() {
-		return fmt.Errorf("literal %s: arity %d, source has %d", lit, len(lit.Args), src.Arity())
-	}
-	return e.matchSource(src, lit, b, cont)
-}
-
-// matchSource unifies the literal's arguments against the tuples of a
-// source, binding free variables and invoking cont per match.
-func (e *Evaluator) matchSource(src storage.Source, lit objectlog.Literal, b *bindings, cont func() error) error {
-	// Resolve bound argument values.
-	vals := make([]types.Value, len(lit.Args))
-	bound := make([]bool, len(lit.Args))
-	allBound := true
-	firstBound := -1
-	for i, a := range lit.Args {
-		if v, ok := b.value(a); ok {
-			vals[i], bound[i] = v, true
-			if firstBound < 0 {
-				firstBound = i
-			}
-		} else {
-			allBound = false
-		}
-	}
-	match := func(t types.Tuple) error {
-		m := b.mark()
-		local := map[string]int{} // repeated free vars within the literal
-		for i, a := range lit.Args {
-			if bound[i] {
-				if !t[i].Equal(vals[i]) {
-					b.undo(m)
-					return nil
-				}
-				continue
-			}
-			// a is an unbound variable.
-			if j, seen := local[a.Var]; seen {
-				if !t[i].Equal(t[j]) {
-					b.undo(m)
-					return nil
-				}
-				continue
-			}
-			local[a.Var] = i
-			b.bind(a.Var, t[i])
-		}
-		err := cont()
-		b.undo(m)
-		return err
-	}
-	if allBound {
-		e.met.AnchorProbe.Inc()
-		t := types.Tuple(vals)
-		if src.Contains(t) {
-			return cont()
-		}
-		return nil
-	}
-	var iterErr error
-	var scanned int64 // batched into the meter once per literal match
-	visit := func(t types.Tuple) bool {
-		scanned++
-		if err := match(t); err != nil {
-			iterErr = err
-			return false
-		}
-		return true
-	}
-	if firstBound >= 0 {
-		e.met.AnchorIndex.Inc()
-		src.Lookup(firstBound, vals[firstBound], visit)
-	} else {
-		e.met.AnchorScan.Inc()
-		src.Each(visit)
-	}
-	e.met.TuplesScanned.Add(scanned)
-	e.scanned += scanned
-	if e.stats != nil && lit.Delta == objectlog.DeltaNone {
-		var mask uint32
-		for i, bd := range bound {
-			if bd {
-				mask |= 1 << uint(i%32)
-			}
-		}
-		e.stats.RecordLiteral(lit.Pred, lit.Delta, mask, scanned)
-	}
-	return iterErr
-}
-
-// evalDerived evaluates a derived literal as a subquery over its
-// definition clauses, threading the Old marker down (rollback is
-// compositional).
-func (e *Evaluator) evalDerived(def *objectlog.Def, call objectlog.Literal, b *bindings, depth int, cont func() error) error {
-	if depth > e.MaxDepth {
-		return fmt.Errorf("evaluation exceeded max derivation depth %d (recursive view?)", e.MaxDepth)
-	}
-	if def.Aggregate != "" {
-		return e.evalAggregate(def, call, b, depth, cont)
-	}
-	if len(call.Args) != def.Arity {
-		return fmt.Errorf("call %s: arity %d, defined %d", call, len(call.Args), def.Arity)
-	}
-	// Deduplicate result tuples across clauses (set semantics).
-	seen := types.NewSet()
-	// An unbound, new-state call enumerates the full extent: that makes
-	// seen the predicate's observed cardinality when the loop finishes.
-	unboundCall := e.stats != nil && !call.Old
-	for _, ca := range call.Args {
-		if _, ok := b.value(ca); ok {
-			unboundCall = false
-			break
-		}
-	}
-	for _, dc := range def.Clauses {
-		fresh := dc.RenameApart(&e.counter)
-		if call.Old {
-			fresh = oldClause(fresh)
-		}
-		// Seed head bindings from bound call args; collect result slots.
-		sub := newBindings()
-		okClause := true
-		for i, ha := range fresh.Head.Args {
-			cv, bok := b.value(call.Args[i])
-			switch {
-			case ha.IsVar:
-				if prev, dup := sub.value(objectlog.V(ha.Var)); dup {
-					if bok && !prev.Equal(cv) {
-						okClause = false
-					}
-					continue
-				}
-				if bok {
-					sub.bind(ha.Var, cv)
-				}
-			default:
-				if bok && !ha.Const.Equal(cv) {
-					okClause = false
-				}
-			}
-			if !okClause {
-				break
-			}
-		}
-		if !okClause {
-			continue
-		}
-		err := e.evalBody(fresh.Body, sub, depth+1, func() error {
-			t := make(types.Tuple, def.Arity)
-			for i, ha := range fresh.Head.Args {
-				v, ok := sub.value(ha)
-				if !ok {
-					return fmt.Errorf("derived head var %s unbound in %s", ha.Var, fresh)
-				}
-				t[i] = v
-			}
-			if !seen.Add(t) {
-				return nil // duplicate result
-			}
-			// Bind the caller's free args to the result tuple.
-			m := b.mark()
-			local := map[string]int{}
-			for i, ca := range call.Args {
-				if v, ok := b.value(ca); ok {
-					if !t[i].Equal(v) {
-						b.undo(m)
-						return nil
-					}
-					continue
-				}
-				if j, dup := local[ca.Var]; dup {
-					if !t[i].Equal(t[j]) {
-						b.undo(m)
-						return nil
-					}
-					continue
-				}
-				local[ca.Var] = i
-				b.bind(ca.Var, t[i])
-			}
-			err := cont()
-			b.undo(m)
-			return err
-		})
-		if err != nil {
-			return err
-		}
-	}
-	if unboundCall {
-		e.stats.RecordPred(def.Name, seen.Len())
-	}
-	return nil
 }

@@ -384,24 +384,32 @@ func TestRepeatedVariableInLiteral(t *testing.T) {
 	}
 }
 
-func TestSeededEvaluation(t *testing.T) {
+// TestSeededSubPlan: a call with bound arguments runs the definition's
+// clause with those head positions seeded, not a filtered full extent.
+func TestSeededSubPlan(t *testing.T) {
 	env, p := setupPQR(t)
-	out := types.NewSet()
-	seed := map[string]types.Value{"X": types.Int(1), "Y": types.Int(1)}
-	if err := New(env).EvalClauseSeeded(p, seed, out); err != nil {
+	if err := env.prog.Define(&objectlog.Def{Name: "p", Arity: 2, Clauses: []objectlog.Clause{p}}); err != nil {
 		t.Fatal(err)
 	}
-	if !out.Equal(types.NewSet(tup(1, 2))) {
-		t.Errorf("seeded p = %s", out)
+	ev := New(env)
+	call := func(x objectlog.Term, z objectlog.Term) *types.Set {
+		out := types.NewSet()
+		c := objectlog.NewClause(objectlog.Lit("h", x, z), objectlog.Lit("p", x, z))
+		if err := ev.EvalClause(c, out); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	s0 := ev.ScannedTuples()
+	if out := call(objectlog.CInt(1), objectlog.V("Z")); !out.Equal(types.NewSet(tup(1, 2))) {
+		t.Errorf("p(1,Z) = %s", out)
+	}
+	if n := ev.ScannedTuples() - s0; n != 2 {
+		t.Errorf("p(1,Z) scanned %d tuples, want 2 (one index probe each into q and r)", n)
 	}
 	// Seed that matches nothing.
-	out2 := types.NewSet()
-	seed2 := map[string]types.Value{"Y": types.Int(99)}
-	if err := New(env).EvalClauseSeeded(p, seed2, out2); err != nil {
-		t.Fatal(err)
-	}
-	if out2.Len() != 0 {
-		t.Errorf("seed mismatch should yield empty, got %s", out2)
+	if out := call(objectlog.V("X"), objectlog.CInt(99)); out.Len() != 0 {
+		t.Errorf("p(X,99) should be empty, got %s", out)
 	}
 }
 

@@ -21,23 +21,12 @@ import (
 // components (possible only with arithmetic generating fresh values).
 const maxFixpointIterations = 100000
 
-// evalRecursive evaluates a call to a recursive view by materializing
-// the component's fixpoint and matching the call against it.
-func (e *Evaluator) evalRecursive(call objectlog.Literal, b *bindings, depth int, cont func() error) error {
-	if depth > e.MaxDepth {
-		return fmt.Errorf("evaluation exceeded max derivation depth %d", e.MaxDepth)
-	}
-	exts, err := e.fixpointComponent(call.Pred, call.Old, depth)
-	if err != nil {
-		return err
-	}
-	ext := exts[call.Pred]
-	return e.matchSource(NewSetSource(ext, len(call.Args)), call, b, cont)
-}
-
 // fixpointComponent computes the extents of every member of pred's
 // recursive component, in the old or new database state.
 func (e *Evaluator) fixpointComponent(pred string, old bool, depth int) (map[string]*types.Set, error) {
+	if depth > e.MaxDepth {
+		return nil, fmt.Errorf("evaluation exceeded max derivation depth %d", e.MaxDepth)
+	}
 	prog := e.env.Program()
 	comp := prog.Component(pred)
 	if len(comp) == 0 {
@@ -78,30 +67,18 @@ func (e *Evaluator) fixpointComponent(pred string, old bool, depth int) (map[str
 		}
 		changed := false
 		for _, m := range comp {
-			def, _ := prog.Def(m)
-			for _, dc := range def.Clauses {
-				fresh := dc.RenameApart(&e.counter)
-				if old {
-					fresh = oldClause(fresh)
-				}
-				sub := newBindings()
-				before := exts[m].Len()
-				err := e.evalBody(fresh.Body, sub, depth+1, func() error {
-					t := make(types.Tuple, len(fresh.Head.Args))
-					for i, ha := range fresh.Head.Args {
-						v, ok := sub.value(ha)
-						if !ok {
-							return fmt.Errorf("recursive view %s: head variable %s unbound", m, ha.Var)
-						}
-						t[i] = v
-					}
-					exts[m].Add(t)
-					return nil
-				})
-				if err != nil {
+			plans, err := e.subPlans(e.pred(m), 0, old)
+			if err != nil {
+				return nil, err
+			}
+			ext := exts[m]
+			grow := func(t types.Tuple) error { ext.Add(t); return nil }
+			for _, p := range plans {
+				before := ext.Len()
+				if err := p.run(nil, depth+1, grow); err != nil {
 					return nil, err
 				}
-				if exts[m].Len() != before {
+				if ext.Len() != before {
 					changed = true
 				}
 			}

@@ -14,17 +14,16 @@ import (
 // literals, unifies, and then checks builtins and negations under the
 // complete substitution. Exponential — use only on tiny databases.
 //
-// Supported literals: positive/negated base relations (current state
-// only), comparisons, arithmetic, and eq. Delta/old annotations and
-// derived predicates are not supported (the optimized evaluator's
-// handling of those is exercised by dedicated tests).
+// Supported literals: positive/negated base relations in any state the
+// Env serves — current, old, Δ+ and Δ− are all just sources resolved
+// through Env.Source, so the shapes partial differentials take are
+// covered — plus comparisons, arithmetic, and eq. Derived predicates
+// are not supported: a test that wants them hands the reference an Env
+// serving their materialized extents as base relations.
 func ReferenceEval(env Env, c objectlog.Clause, out *types.Set) error {
 	var positives []objectlog.Literal
 	var checks []objectlog.Literal
 	for _, l := range c.Body {
-		if l.Delta != objectlog.DeltaNone || l.Old {
-			return fmt.Errorf("reference evaluator: annotated literal %s unsupported", l)
-		}
 		if objectlog.IsBuiltin(l.Pred) || l.Negated {
 			checks = append(checks, l)
 			continue
@@ -43,7 +42,7 @@ func refEnumerate(env Env, positives, checks []objectlog.Literal, head objectlog
 		return refCheckAndEmit(env, checks, head, sub, out)
 	}
 	lit := positives[0]
-	src, err := env.Source(lit.Pred, objectlog.DeltaNone, false)
+	src, err := env.Source(lit.Pred, lit.Delta, lit.Old)
 	if err != nil {
 		return err
 	}
@@ -179,7 +178,7 @@ func refCheckAndEmit(env Env, checks []objectlog.Literal, head objectlog.Literal
 					rest = append(rest, l)
 					continue
 				}
-				src, err := env.Source(l.Pred, objectlog.DeltaNone, false)
+				src, err := env.Source(l.Pred, l.Delta, l.Old)
 				if err != nil {
 					return err
 				}

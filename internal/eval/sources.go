@@ -1,9 +1,10 @@
-// Package eval implements the ObjectLog query evaluator: nested-loop
-// evaluation of conjunctive clauses with greedy, selectivity-driven
-// literal ordering (in the spirit of System R / Selinger, as cited by the
-// paper for optimizing the generated partial differentials), index
+// Package eval implements the ObjectLog query evaluator: conjunctive
+// clauses are compiled to slot-based join plans (plan.go), ordered
+// greedily by selectivity (in the spirit of System R / Selinger, as
+// cited by the paper for optimizing the generated partial differentials)
+// once per execution, and run as nested loops (exec.go) with index
 // lookups on base relations, safe negation, derived-predicate
-// subqueries, and old-state evaluation via logical rollback.
+// sub-plans, and old-state evaluation via logical rollback.
 package eval
 
 import (

@@ -15,7 +15,7 @@ import (
 //
 //   - per-predicate observed cardinalities of derived extents (learned
 //     whenever a derived predicate is fully enumerated — an unbound
-//     subquery call or an EvalPred), replacing literalCost's static
+//     subquery call or an EvalPred), replacing stepCost's static
 //     "derived subqueries cost 10000" guess, and
 //   - per-literal observed scan volumes keyed by (predicate, Δ-kind,
 //     bound-argument mask) — how many tuples matching this literal shape

@@ -126,16 +126,15 @@ func TestDerivedPrior(t *testing.T) {
 // stats installed, a small derived literal must out-rank the Δ anchor
 // that the static model would pick, and an observed scan volume must
 // override the static index-selectivity estimate.
-func TestLiteralCostAdaptiveReRanking(t *testing.T) {
+func TestStepCostAdaptiveReRanking(t *testing.T) {
 	_, ev := statsEnv(t)
-	b := newBindings()
 	deltaLit := objectlog.Lit("wide", objectlog.V("X"), objectlog.V("Y")).WithDelta(objectlog.DeltaPlus)
 	derivedLit := objectlog.Lit("tiny", objectlog.V("X"), objectlog.V("Y"))
 
 	// Static model: the derived subquery is guessed at 10000 and loses
 	// to the 50-tuple Δ anchor.
-	dc, _ := ev.literalCost(deltaLit, b)
-	tc, _ := ev.literalCost(derivedLit, b)
+	dc, _ := costOf(t, ev, deltaLit)
+	tc, _ := costOf(t, ev, derivedLit)
 	if tc <= dc {
 		t.Fatalf("static: derived %d should lose to Δ %d", tc, dc)
 	}
@@ -143,25 +142,24 @@ func TestLiteralCostAdaptiveReRanking(t *testing.T) {
 	// With stats (even empty), the structural prior already re-ranks:
 	// tiny's only body literal is the 3-row sel.
 	ev.SetStats(NewStats())
-	tc2, _ := ev.literalCost(derivedLit, b)
+	tc2, _ := costOf(t, ev, derivedLit)
 	if tc2 >= dc {
 		t.Errorf("prior-informed derived cost %d should beat Δ anchor %d", tc2, dc)
 	}
 
 	// An observed cardinality takes over from the prior.
 	ev.stats.RecordPred("tiny", 1)
-	tc3, _ := ev.literalCost(derivedLit, b)
+	tc3, _ := costOf(t, ev, derivedLit)
 	if tc3 >= tc2 {
 		t.Errorf("observed card 1 should rank below prior: %d vs %d", tc3, tc2)
 	}
 
 	// Observed literal scan volume overrides the static index estimate:
 	// pretend probing wide with X bound in fact scanned 150 tuples.
-	b.bind("X", tup(1)[0])
 	boundLit := objectlog.Lit("wide", objectlog.V("X"), objectlog.V("Y"))
-	static, _ := ev.literalCost(boundLit, b)
+	static, _ := costOf(t, ev, boundLit, "X")
 	ev.stats.RecordLiteral("wide", objectlog.DeltaNone, 0b01, 150)
-	observed, _ := ev.literalCost(boundLit, b)
+	observed, _ := costOf(t, ev, boundLit, "X")
 	if observed <= static {
 		t.Errorf("observed scan volume must raise the cost: static %d, observed %d", static, observed)
 	}

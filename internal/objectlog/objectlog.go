@@ -433,7 +433,8 @@ func (d *Def) Influents() []string {
 // any names not defined here (resolved against storage at evaluation
 // time).
 type Program struct {
-	defs map[string]*Def
+	defs  map[string]*Def
+	epoch uint64
 }
 
 // NewProgram returns an empty program.
@@ -454,8 +455,13 @@ func (p *Program) Define(d *Def) error {
 		}
 	}
 	p.defs[d.Name] = d
+	p.epoch++
 	return nil
 }
+
+// Epoch counts the definitions made so far. Anything compiled against
+// the program (evaluator plans) is stale once it moves.
+func (p *Program) Epoch() uint64 { return p.epoch }
 
 // Def looks up a derived definition.
 func (p *Program) Def(name string) (*Def, bool) {
