@@ -33,8 +33,8 @@ func New() *Set { return &Set{} }
 // one-sided deltas).
 func FromSets(plus, minus *types.Set) *Set {
 	d := New()
-	plus.Each(func(t types.Tuple) bool { d.Insert(t); return true })
-	minus.Each(func(t types.Tuple) bool { d.Delete(t); return true })
+	d.InsertAll(plus)
+	d.DeleteAll(minus)
 	return d
 }
 
@@ -72,35 +72,53 @@ func (d *Set) Len() int {
 // Insert folds the physical event +t into the Δ-set using ∪Δ semantics:
 // a pending deletion of t is cancelled, otherwise t becomes a net
 // insertion.
-func (d *Set) Insert(t types.Tuple) {
+func (d *Set) Insert(t types.Tuple) { d.insertH(t.Hash(), t) }
+
+// insertH is Insert with t's hash supplied: the tuple is hashed once
+// per fold, not once per half of the Δ-set, and not at all when it
+// comes out of another set that already stores its hash.
+func (d *Set) insertH(h uint64, t types.Tuple) {
 	folds.Add(1)
-	if d.minus.Remove(t) {
+	if d.minus.RemoveH(h, t) {
 		cancels.Add(1)
 		return
 	}
-	d.plus.Add(t)
+	d.plus.AddH(h, t)
 }
 
 // Delete folds the physical event −t into the Δ-set: a pending insertion
 // of t is cancelled, otherwise t becomes a net deletion.
-func (d *Set) Delete(t types.Tuple) {
+func (d *Set) Delete(t types.Tuple) { d.deleteH(t.Hash(), t) }
+
+func (d *Set) deleteH(h uint64, t types.Tuple) {
 	folds.Add(1)
-	if d.plus.Remove(t) {
+	if d.plus.RemoveH(h, t) {
 		cancels.Add(1)
 		return
 	}
-	d.minus.Add(t)
+	d.minus.AddH(h, t)
 }
 
 // UnionInto folds all changes of o into d (d ∪Δ o), preserving
-// disjointness. o is not modified.
+// disjointness. o is not modified, and must not be d itself.
 func (d *Set) UnionInto(o *Set) {
 	if o == nil {
 		return
 	}
 	unionMerges.Add(1)
-	o.plus.Each(func(t types.Tuple) bool { d.Insert(t); return true })
-	o.minus.Each(func(t types.Tuple) bool { d.Delete(t); return true })
+	d.InsertAll(&o.plus)
+	d.DeleteAll(&o.minus)
+}
+
+// InsertAll folds +t into d for every tuple of s, reusing the hashes s
+// stores. s must not be one of d's own halves.
+func (d *Set) InsertAll(s *types.Set) {
+	s.EachH(func(h uint64, t types.Tuple) bool { d.insertH(h, t); return true })
+}
+
+// DeleteAll folds −t into d for every tuple of s (see InsertAll).
+func (d *Set) DeleteAll(s *types.Set) {
+	s.EachH(func(h uint64, t types.Tuple) bool { d.deleteH(h, t); return true })
 }
 
 // Union returns a new Δ-set a ∪Δ b, per the paper's definition:
@@ -187,15 +205,15 @@ func (d *Set) InOld(newState *types.Set, t types.Tuple) bool {
 // logical events by comparing materialized truth sets.
 func Diff(old, new *types.Set) *Set {
 	d := New()
-	new.Each(func(t types.Tuple) bool {
-		if !old.Contains(t) {
-			d.plus.Add(t)
+	new.EachH(func(h uint64, t types.Tuple) bool {
+		if !old.ContainsH(h, t) {
+			d.plus.AddH(h, t)
 		}
 		return true
 	})
-	old.Each(func(t types.Tuple) bool {
-		if !new.Contains(t) {
-			d.minus.Add(t)
+	old.EachH(func(h uint64, t types.Tuple) bool {
+		if !new.ContainsH(h, t) {
+			d.minus.AddH(h, t)
 		}
 		return true
 	})

@@ -281,3 +281,43 @@ func TestDeltaUnionSegmentedStream_Quick(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Allocation gate: folding an event into a Δ-set at steady size hashes
+// the tuple once, in place. An insertion cancelling a pending deletion
+// (and the reverse), and folding the same change back in, allocate
+// nothing.
+func TestFoldDoesNotAllocate(t *testing.T) {
+	d := New()
+	tuples := make([]types.Tuple, 256)
+	for i := range tuples {
+		tuples[i] = types.Tuple{types.Obj(types.OID(i)), types.Int(int64(i)), types.Str("v")}
+		d.Delete(tuples[i])
+	}
+	i := 0
+	got := testing.AllocsPerRun(500, func() {
+		i = (i + 1) % len(tuples)
+		d.Insert(tuples[i]) // cancels the pending −t
+		if d.Minus().Len() != len(tuples)-1 || d.Plus().Len() != 0 {
+			t.Fatal("insert did not cancel the pending delete")
+		}
+		d.Delete(tuples[i]) // pending again
+	})
+	if got != 0 {
+		t.Errorf("Insert cancelling a Delete, then Delete: %v allocs/op, want 0", got)
+	}
+	// Clear keeps a small Δ-set's arrays: the next wave refills them
+	// without allocating.
+	small := New()
+	wave := func() {
+		for _, tp := range tuples[:8] {
+			small.Insert(tp)
+			small.Delete(tuples[100])
+			small.Insert(tuples[100])
+		}
+		small.Clear()
+	}
+	wave()
+	if got := testing.AllocsPerRun(100, wave); got != 0 {
+		t.Errorf("refilling a cleared Δ-set: %v allocs/op, want 0", got)
+	}
+}

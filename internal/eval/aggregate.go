@@ -41,18 +41,17 @@ func (e *Evaluator) aggregate(pi *predInfo, mask uint64, old bool, vals types.Tu
 		max   types.Value
 		err   error
 	}
-	groups := map[string]*state{}
-	var keys []string // deterministic-ish iteration helper (sorted later via tuples)
+	var groups types.Map[*state]
+	var order []*state // groups in first-seen order
 	pre.Each(func(t types.Tuple) bool {
-		key := t[:g]
+		key := t[:g:g]
 		val := t[len(t)-1]
-		k := key.Key()
-		st, ok := groups[k]
-		if !ok {
-			st = &state{key: key.Clone(), min: val, max: val, sum: types.Int(0)}
-			groups[k] = st
-			keys = append(keys, k)
+		p, fresh := groups.Ref(key)
+		if fresh {
+			*p = &state{key: key, min: val, max: val, sum: types.Int(0)}
+			order = append(order, *p)
 		}
+		st := *p
 		st.count++
 		if st.err == nil {
 			st.sum, st.err = types.Add(st.sum, val)
@@ -67,8 +66,7 @@ func (e *Evaluator) aggregate(pi *predInfo, mask uint64, old bool, vals types.Tu
 	})
 	// Emit one folded tuple per group, unified against the call.
 	out := types.NewSet()
-	for _, k := range keys {
-		st := groups[k]
+	for _, st := range order {
 		var folded types.Value
 		switch def.Aggregate {
 		case objectlog.AggCount:

@@ -367,7 +367,7 @@ func (a *activation) call(i int, x *op) error {
 			// An unbound new-state call enumerated the full extent.
 			e.stats.RecordPred(lit.Pred, s.seen.Len())
 		}
-		s.seen.Clear() // a pooled activation must not pin the extent
+		s.seen.Clear() // a pooled activation must not pin the extent (Clear releases all but a small array)
 	}
 	if lit.Negated {
 		if err != nil && err != errStop {

@@ -272,7 +272,7 @@ func newOracleEnv(t *testing.T, env *testEnv) oracleEnv {
 func refFold(def *objectlog.Def, pre *types.Set) *types.Set {
 	groups := map[string][]types.Tuple{}
 	for _, t := range pre.Tuples() {
-		k := t[:def.GroupCols].Key()
+		k := string(t[:def.GroupCols].AppendKey(nil))
 		groups[k] = append(groups[k], t)
 	}
 	out := types.NewSet()

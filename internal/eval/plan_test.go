@@ -7,7 +7,6 @@ import (
 	"partdiff/internal/delta"
 	"partdiff/internal/diff"
 	"partdiff/internal/objectlog"
-	"partdiff/internal/storage"
 	"partdiff/internal/types"
 )
 
@@ -114,78 +113,28 @@ func TestMalformedBuiltinRejectedAtCompile(t *testing.T) {
 	}
 }
 
-// sliceSource is a Source that never allocates, so AllocsPerRun sees the
-// evaluator's allocations and nothing else (the store's hash sets build
-// a key string per probe).
-type sliceSource struct {
-	arity int
-	rows  []types.Tuple
-}
-
-func (s *sliceSource) Arity() int { return s.arity }
-func (s *sliceSource) Len() int   { return len(s.rows) }
-func (s *sliceSource) Each(fn func(types.Tuple) bool) {
-	for _, t := range s.rows {
-		if !fn(t) {
-			return
-		}
-	}
-}
-func (s *sliceSource) Lookup(col int, v types.Value, fn func(types.Tuple) bool) {
-	for _, t := range s.rows {
-		if t[col].Equal(v) && !fn(t) {
-			return
-		}
-	}
-}
-func (s *sliceSource) Contains(t types.Tuple) bool {
-	for _, r := range s.rows {
-		if r.Equal(t) {
-			return true
-		}
-	}
-	return false
-}
-
-type sliceEnv struct {
-	prog *objectlog.Program
-	srcs map[string]*sliceSource // "Δ+quantity", "quantity", …
-}
-
-func (e sliceEnv) Program() *objectlog.Program { return e.prog }
-func (e sliceEnv) Source(pred string, dk objectlog.DeltaKind, old bool) (storage.Source, error) {
-	if dk != objectlog.DeltaNone {
-		pred = dk.String() + pred
-	}
-	return e.srcs[pred], nil
-}
-
-// TestPlanExecAllocations: executing a cached plan allocates one tuple
-// per emitted head tuple plus a constant, however many tuples it scans.
+// TestPlanExecAllocations: executing a cached plan over the real
+// sources — store relations with their hash indexes, seeded from a real
+// Δ-set — allocates one tuple per emitted head tuple plus a constant,
+// however many tuples it scans: index probes and the join itself
+// allocate nothing. (Old-state sources still pay a closure per
+// RolledBack.Lookup; they are not part of this gate.)
 func TestPlanExecAllocations(t *testing.T) {
 	env, def := inventory(t, 1000)
-	senv := sliceEnv{prog: env.prog, srcs: map[string]*sliceSource{}}
-	for _, name := range []string{"item", "quantity", "consume_freq", "min_stock", "supplies", "delivery_time"} {
-		rel, _ := env.store.Relation(name)
-		s := &sliceSource{arity: rel.Arity()}
-		rel.Each(func(t types.Tuple) bool { s.rows = append(s.rows, t); return true })
-		senv.srcs[name] = s
-	}
-	dq := &sliceSource{arity: 2}
-	senv.srcs["Δ+quantity"] = dq
-	p, err := New(senv).Compile(differential(t, def, "Δcnd/Δ+quantity"))
+	dq := env.deltas["quantity"]
+	p, err := New(env).Compile(differential(t, def, "Δcnd/Δ+quantity"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	emitted := 0
 	measure := func(seed, firing int) float64 {
-		dq.rows = dq.rows[:0]
+		dq.Clear()
 		for i := 0; i < seed; i++ {
 			q := int64(1000)
 			if i < firing {
 				q = 1 // below threshold 2*3+4
 			}
-			dq.rows = append(dq.rows, tup(int64(i), q))
+			dq.Insert(tup(int64(i), q))
 		}
 		run := func() {
 			emitted = 0

@@ -72,14 +72,24 @@ func (e *Evaluator) fixpointComponent(pred string, old bool, depth int) (map[str
 				return nil, err
 			}
 			ext := exts[m]
-			grow := func(t types.Tuple) error { ext.Add(t); return nil }
+			// The plan scans ext (through e.fixpoint) while it emits, and
+			// a set must not grow under its own Each: collect a run's new
+			// tuples in a scratch set and fold it in when the run is over.
+			var fresh types.Set
+			grow := func(t types.Tuple) error {
+				if h := t.Hash(); !ext.ContainsH(h, t) {
+					fresh.AddH(h, t)
+				}
+				return nil
+			}
 			for _, p := range plans {
-				before := ext.Len()
 				if err := p.run(nil, depth+1, grow); err != nil {
 					return nil, err
 				}
-				if ext.Len() != before {
+				if fresh.Len() > 0 {
 					changed = true
+					ext.AddAll(&fresh)
+					fresh.Clear()
 				}
 			}
 		}

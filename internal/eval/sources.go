@@ -41,10 +41,11 @@ func (s *SetSource) Len() int {
 // Each iterates all tuples.
 func (s *SetSource) Each(fn func(types.Tuple) bool) { s.Set.Each(fn) }
 
-// Lookup scans for tuples whose column col equals v.
+// Lookup scans for tuples whose column col equals v — under key
+// equality, like the index lookup of the relation the set stands in for.
 func (s *SetSource) Lookup(col int, v types.Value, fn func(types.Tuple) bool) {
 	s.Set.Each(func(t types.Tuple) bool {
-		if col < len(t) && t[col].Equal(v) {
+		if col < len(t) && t[col].KeyEqual(v) {
 			return fn(t)
 		}
 		return true
@@ -65,7 +66,9 @@ type RolledBack struct {
 	Base  storage.Source
 	Delta *delta.Set // may be nil: old state == new state
 
-	minusIdx []map[string]*types.Set // lazy per-column index over Δ−S
+	// minusIdx is the lazy per-column index over Δ−S: column value (as
+	// a one-column tuple) → the Δ− tuples holding it; nil until built.
+	minusIdx []*types.Map[[]types.Tuple]
 }
 
 // minusIndexThreshold is the Δ− cardinality above which Lookup builds
@@ -76,7 +79,7 @@ func (r *RolledBack) lookupMinus(col int, v types.Value, fn func(types.Tuple) bo
 	minus := r.Delta.Minus()
 	if minus.Len() <= minusIndexThreshold {
 		minus.Each(func(t types.Tuple) bool {
-			if col < len(t) && t[col].Equal(v) {
+			if col < len(t) && t[col].KeyEqual(v) {
 				return fn(t)
 			}
 			return true
@@ -84,27 +87,27 @@ func (r *RolledBack) lookupMinus(col int, v types.Value, fn func(types.Tuple) bo
 		return
 	}
 	if r.minusIdx == nil {
-		r.minusIdx = make([]map[string]*types.Set, r.Base.Arity())
+		r.minusIdx = make([]*types.Map[[]types.Tuple], r.Base.Arity())
 	}
 	idx := r.minusIdx[col]
 	if idx == nil {
-		idx = make(map[string]*types.Set)
+		idx = &types.Map[[]types.Tuple]{}
 		minus.Each(func(t types.Tuple) bool {
 			if col < len(t) {
-				k := t[col].Key()
-				s := idx[k]
-				if s == nil {
-					s = types.NewSet()
-					idx[k] = s
-				}
-				s.Add(t)
+				p, _ := idx.Ref(t[col : col+1 : col+1])
+				*p = append(*p, t)
 			}
 			return true
 		})
 		r.minusIdx[col] = idx
 	}
-	if s, ok := idx[v.Key()]; ok {
-		s.Each(fn)
+	key := [1]types.Value{v}
+	if p := idx.Find(key[:]); p != nil {
+		for _, t := range *p {
+			if !fn(t) {
+				return
+			}
+		}
 	}
 }
 

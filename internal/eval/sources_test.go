@@ -93,3 +93,30 @@ func TestRolledBackSmallMinusScans(t *testing.T) {
 		t.Errorf("early stop visited %d", n)
 	}
 }
+
+// Allocation gate: an old-state membership probe consults Δ−, the live
+// relation and Δ+ under one in-place hash each and allocates nothing.
+func TestRolledBackContainsDoesNotAllocate(t *testing.T) {
+	st := storage.NewStore()
+	st.CreateRelation("r", 2, nil)
+	rel, _ := st.Relation("r")
+	d := delta.New()
+	for i := int64(0); i < 200; i++ {
+		st.Insert("r", types.Tuple{types.Int(i), types.Str("live")})
+	}
+	for i := int64(0); i < 20; i++ {
+		d.Insert(types.Tuple{types.Int(i), types.Str("live")})     // new this transaction
+		d.Delete(types.Tuple{types.Int(1000 + i), types.Str("x")}) // gone this transaction
+	}
+	rb := NewRolledBack(rel, d)
+	added, removed := types.Tuple{types.Int(3), types.Str("live")}, types.Tuple{types.Int(1003), types.Str("x")}
+	kept, never := types.Tuple{types.Float(150), types.Str("live")}, types.Tuple{types.Int(150), types.Str("x")}
+	got := testing.AllocsPerRun(200, func() {
+		if rb.Contains(added) || !rb.Contains(removed) || !rb.Contains(kept) || rb.Contains(never) {
+			t.Fatal("old-state membership")
+		}
+	})
+	if got != 0 {
+		t.Errorf("RolledBack.Contains: %v allocs/op, want 0", got)
+	}
+}

@@ -211,7 +211,7 @@ func (m *Maintainer) WriteReport(w io.Writer) error {
 			strat = vs.cur
 		}
 		rows = append(rows, row{
-			name: vs.name, strat: strat.String(), counted: len(vs.counts),
+			name: vs.name, strat: strat.String(), counted: vs.counts.Len(),
 			seeded: vs.seeded, dirty: vs.dirty,
 			incrPerSeed: vs.incrPerSeed, recompScan: vs.recompScan,
 			incrSeen: vs.incrSeen, recompSeen: vs.recompSeen,

@@ -4,7 +4,7 @@
 // during every wave:
 //
 //   - Counting maintenance: a per-derived-tuple derivation-count
-//     sidecar (a compact multiset keyed by types.Tuple.Key, like the
+//     sidecar (a multiset: a types.Map from tuple to count, like the
 //     MVCC version sidecar in internal/storage). The network executes
 //     triangle-form differentials (diff.GenerateCounting) under bag
 //     semantics and folds the signed per-derivation deltas through the
@@ -84,18 +84,10 @@ func DefaultConfig() Config {
 	return Config{Counting: true, Hybrid: true, HysteresisRuns: 2, HysteresisFactor: 2}
 }
 
-// BagDelta is one tuple's signed derivation-count change accumulated
-// over a wave's triangle-differential executions.
-type BagDelta struct {
-	Tuple types.Tuple
-	N     int64
-}
-
-// centry is one counted tuple: the tuple and its derivation count.
-type centry struct {
-	tuple types.Tuple
-	n     int64
-}
+// Bag is a wave's signed derivation-count changes, accumulated per
+// tuple over its triangle-differential executions — and, with every
+// count positive, a view's count store.
+type Bag = types.Map[int64]
 
 // viewState is the maintainer's per-view record: the count store and
 // the chooser's cost memory. Chooser state survives count reseeds and
@@ -104,7 +96,7 @@ type viewState struct {
 	name  string
 	canon string // canonical definition fingerprint at registration
 
-	counts map[string]centry
+	counts *Bag // tuple → derivation count (> 0); nil when empty
 	seeded bool // counts reflect some consistent state
 	dirty  bool // counts are stale (a recompute wave bypassed them)
 
@@ -156,11 +148,11 @@ type undoEntry struct {
 	kind undoKind
 	vs   *viewState
 
-	key     string // undoCount
-	old     centry
-	present bool
+	key  types.Tuple // undoCount
+	hash uint64
+	old  int64 // 0: the tuple was not counted
 
-	oldCounts map[string]centry // undoState
+	oldCounts *Bag // undoState
 	oldSeeded bool
 	oldDirty  bool
 }
@@ -199,7 +191,7 @@ type Maintainer struct {
 	// undo is the transaction journal; touched/stateTouched implement
 	// first-touch-per-transaction semantics.
 	undo         []undoEntry
-	touched      map[*viewState]map[string]bool
+	touched      map[*viewState]*types.Set
 	stateTouched map[*viewState]bool
 
 	decSeq    uint64
@@ -342,11 +334,10 @@ func (m *Maintainer) Reseed(view string, enumerate func(emit func(types.Tuple) e
 	if m == nil {
 		return fmt.Errorf("maint: no maintainer")
 	}
-	counts := map[string]centry{}
+	counts := &Bag{}
 	if err := enumerate(func(t types.Tuple) error {
-		k := t.Key()
-		e := counts[k]
-		counts[k] = centry{tuple: t, n: e.n + 1}
+		n, _ := counts.Ref(t)
+		*n++
 		return nil
 	}); err != nil {
 		return err
@@ -393,7 +384,7 @@ func (m *Maintainer) MarkDirty(view string) {
 // support underflow means the triangle differentials and the store
 // disagree — a bug, surfaced as an error so the transaction rolls back
 // rather than silently corrupting the monitor.
-func (m *Maintainer) Apply(view string, bag map[string]*BagDelta) (*delta.Set, error) {
+func (m *Maintainer) Apply(view string, bag *Bag) (*delta.Set, error) {
 	if m == nil {
 		return nil, fmt.Errorf("maint: no maintainer")
 	}
@@ -408,29 +399,41 @@ func (m *Maintainer) Apply(view string, bag map[string]*BagDelta) (*delta.Set, e
 	}
 	out := delta.New()
 	var applied, retracted int64
-	for key, bd := range bag {
-		if bd.N == 0 {
-			continue
+	var err error
+	// The bag's stored hashes probe the count store: no tuple is hashed
+	// here. (Each forbids mutating bag; it is vs.counts that changes.)
+	bag.Each(func(h uint64, t types.Tuple, dn *int64) bool {
+		if *dn == 0 {
+			return true
 		}
-		old, present := vs.counts[key]
-		n := old.n + bd.N
+		var old int64
+		if c := vs.counts.FindH(h, t); c != nil {
+			old = *c
+		}
+		n := old + *dn
 		if n < 0 {
-			return nil, fmt.Errorf("maint: support of %s%s would drop to %d (counts out of sync)", view, bd.Tuple, n)
+			err = fmt.Errorf("maint: support of %s%s would drop to %d (counts out of sync)", view, t, n)
+			return false
 		}
-		m.recordCountUndo(vs, key, old, present)
+		m.recordCountUndo(vs, h, t, old)
 		if n == 0 {
-			delete(vs.counts, key)
+			vs.counts.DeleteH(h, t)
 		} else {
-			vs.counts[key] = centry{tuple: bd.Tuple, n: n}
+			c, _ := vs.counts.RefH(h, t)
+			*c = n
 		}
 		applied++
 		switch {
-		case old.n == 0 && n > 0:
-			out.Insert(bd.Tuple)
-		case old.n > 0 && n == 0:
-			out.Delete(bd.Tuple)
+		case old == 0 && n > 0:
+			out.Insert(t)
+		case old > 0 && n == 0:
+			out.Delete(t)
 			retracted++
 		}
+		return true
+	})
+	if err != nil {
+		return nil, err
 	}
 	m.met.Applied.Add(applied)
 	m.met.Retractions.Add(retracted)
@@ -450,7 +453,10 @@ func (m *Maintainer) Support(view string, t types.Tuple) (int64, bool) {
 	if !ok || !vs.seeded || vs.dirty {
 		return 0, false
 	}
-	return vs.counts[t.Key()].n, true
+	if c := vs.counts.Find(t); c != nil {
+		return *c, true
+	}
+	return 0, true
 }
 
 // VerifyCounts checks the counting invariant for one view: the
@@ -468,29 +474,37 @@ func (m *Maintainer) VerifyCounts(view string, enumerate func(emit func(types.Tu
 		m.mu.Unlock()
 		return nil
 	}
-	have := make(map[string]centry, len(vs.counts))
-	for k, e := range vs.counts {
-		have[k] = e
-	}
+	have := vs.counts.Clone()
 	m.mu.Unlock()
-	fresh := map[string]int64{}
+	var fresh Bag
 	if err := enumerate(func(t types.Tuple) error {
-		fresh[t.Key()]++
+		n, _ := fresh.Ref(t)
+		*n++
 		return nil
 	}); err != nil {
 		return err
 	}
-	for k, n := range fresh {
-		if have[k].n != n {
-			return fmt.Errorf("maint: %s support of %q is %d, fresh evaluation derives it %d time(s)", view, k, have[k].n, n)
+	var err error
+	fresh.Each(func(h uint64, t types.Tuple, n *int64) bool {
+		var got int64
+		if c := have.FindH(h, t); c != nil {
+			got = *c
 		}
-	}
-	for k, e := range have {
-		if fresh[k] == 0 {
-			return fmt.Errorf("maint: %s carries support %d for %s, which is no longer derivable", view, e.n, e.tuple)
+		if got != *n {
+			err = fmt.Errorf("maint: %s support of %s is %d, fresh evaluation derives it %d time(s)", view, t, got, *n)
 		}
+		return err == nil
+	})
+	if err != nil {
+		return err
 	}
-	return nil
+	have.Each(func(h uint64, t types.Tuple, n *int64) bool {
+		if fresh.FindH(h, t) == nil {
+			err = fmt.Errorf("maint: %s carries support %d for %s, which is no longer derivable", view, *n, t)
+		}
+		return err == nil
+	})
+	return err
 }
 
 // OnEnd closes the transaction journal: on commit the journal is simply
@@ -508,10 +522,11 @@ func (m *Maintainer) OnEnd(committed bool) {
 			u := m.undo[i]
 			switch u.kind {
 			case undoCount:
-				if u.present {
-					u.vs.counts[u.key] = u.old
+				if u.old > 0 {
+					c, _ := u.vs.counts.RefH(u.hash, u.key)
+					*c = u.old
 				} else {
-					delete(u.vs.counts, u.key)
+					u.vs.counts.DeleteH(u.hash, u.key)
 				}
 			case undoState:
 				u.vs.counts = u.oldCounts
@@ -534,20 +549,19 @@ func (m *Maintainer) OnEnd(committed bool) {
 // transaction subsumes later key entries only for the replaced map;
 // key undos always refer to the live map, and reverse-order replay
 // keeps the two consistent. Caller holds m.mu.
-func (m *Maintainer) recordCountUndo(vs *viewState, key string, old centry, present bool) {
+func (m *Maintainer) recordCountUndo(vs *viewState, h uint64, t types.Tuple, old int64) {
 	if m.touched == nil {
-		m.touched = map[*viewState]map[string]bool{}
+		m.touched = map[*viewState]*types.Set{}
 	}
 	tk := m.touched[vs]
 	if tk == nil {
-		tk = map[string]bool{}
+		tk = &types.Set{}
 		m.touched[vs] = tk
 	}
-	if tk[key] {
+	if !tk.AddH(h, t) {
 		return
 	}
-	tk[key] = true
-	m.undo = append(m.undo, undoEntry{kind: undoCount, vs: vs, key: key, old: old, present: present})
+	m.undo = append(m.undo, undoEntry{kind: undoCount, vs: vs, key: t, hash: h, old: old})
 }
 
 // recordStateUndo journals the whole count store (pointer swap), first
@@ -580,7 +594,7 @@ func (m *Maintainer) markStateTouched(vs *viewState) {
 func (m *Maintainer) countedTuplesLocked() int64 {
 	var n int64
 	for _, vs := range m.views {
-		n += int64(len(vs.counts))
+		n += int64(vs.counts.Len())
 	}
 	return n
 }

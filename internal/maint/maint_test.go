@@ -16,17 +16,11 @@ func tup(vs ...int64) types.Tuple {
 }
 
 // bag builds an Apply argument from (tuple, delta) pairs.
-func bag(pairs ...interface{}) map[string]*BagDelta {
-	out := map[string]*BagDelta{}
+func bag(pairs ...interface{}) *Bag {
+	out := &Bag{}
 	for i := 0; i < len(pairs); i += 2 {
-		t := pairs[i].(types.Tuple)
-		n := int64(pairs[i+1].(int))
-		k := t.Key()
-		if e, ok := out[k]; ok {
-			e.N += n
-		} else {
-			out[k] = &BagDelta{Tuple: t, N: n}
-		}
+		n, _ := out.Ref(pairs[i].(types.Tuple))
+		*n += int64(pairs[i+1].(int))
 	}
 	return out
 }

@@ -11,8 +11,9 @@ package storage
 // records the write sequence of recently-added live rows, `dead` holds
 // tombstones of recently-deleted ones — and is garbage-collected at
 // every commit down to the oldest pinned snapshot. With no snapshots
-// pinned the sidecar drains to empty and the MVCC layer costs a map
-// probe per mutation.
+// pinned the sidecar drains to empty and the MVCC layer costs a table
+// probe per mutation — under the row's own hash, computed once per
+// physical event and shared with the row set and the indexes.
 //
 // Rollback replays the undo log inverted through the normal update path
 // (internal/txn), and the sidecar rules below make that replay exact:
@@ -136,25 +137,18 @@ func (s *Store) purgeDirtyLocked(min uint64) {
 func (r *Relation) purge(min uint64) bool {
 	r.latch.lock()
 	defer r.latch.unlock()
-	for k, a := range r.added {
-		if a <= min {
-			delete(r.added, k)
-		}
-	}
-	for k, ds := range r.dead {
-		keep := ds[:0]
-		for _, d := range ds {
+	r.added.DeleteIf(func(_ uint64, _ types.Tuple, a *uint64) bool { return *a <= min })
+	r.dead.DeleteIf(func(_ uint64, _ types.Tuple, ds *[]deadRow) bool {
+		keep := (*ds)[:0]
+		for _, d := range *ds {
 			if d.delSeq > min {
 				keep = append(keep, d)
 			}
 		}
-		if len(keep) == 0 {
-			delete(r.dead, k)
-		} else {
-			r.dead[k] = keep
-		}
-	}
-	return len(r.added) == 0 && len(r.dead) == 0
+		*ds = keep
+		return len(keep) == 0
+	})
+	return r.added.Len() == 0 && r.dead.Len() == 0
 }
 
 // SnapshotView is a pinned read view of the store at one commit
@@ -273,15 +267,14 @@ func (v snapSource) Arity() int { return v.r.arity }
 // acquire read-latches the relation through the view's held set: a
 // nested call on a relation the view already holds (self-join) skips
 // the latch, so the writer-preference latch cannot deadlock reader
-// recursion. Returns the matching release.
-func (v snapSource) acquire() func() {
+// recursion. Every acquire is paired with a release.
+func (v snapSource) acquire() {
 	if v.view.held[v.r] > 0 {
 		v.view.held[v.r]++
 	} else {
 		v.r.latch.rlock()
 		v.view.held[v.r] = 1
 	}
-	return v.release
 }
 
 func (v snapSource) release() {
@@ -293,11 +286,11 @@ func (v snapSource) release() {
 	}
 }
 
-// hidden reports whether the live row with this key is too new for the
+// hidden reports whether the live row t (hash h) is too new for the
 // snapshot. Caller holds the latch.
-func (v snapSource) hidden(key string) bool {
-	a, ok := v.r.added[key]
-	return ok && a > v.seq
+func (v snapSource) hidden(h uint64, t types.Tuple) bool {
+	a := v.r.added.FindH(h, t)
+	return a != nil && *a > v.seq
 }
 
 // deadVisible reports whether tombstone d is visible at the snapshot.
@@ -305,51 +298,49 @@ func (v snapSource) deadVisible(d deadRow) bool {
 	return d.addSeq <= v.seq && d.delSeq > v.seq
 }
 
-func (v snapSource) Len() int {
-	defer v.acquire()()
-	if len(v.r.added) == 0 && len(v.r.dead) == 0 {
-		return v.r.rows.Len()
-	}
-	n := 0
-	v.r.rows.Each(func(t types.Tuple) bool {
-		if !v.hidden(t.Key()) {
-			n++
+// eachDead calls fn for every tombstone visible at the snapshot, until
+// fn returns false.
+func (v snapSource) eachDead(fn func(types.Tuple) bool) {
+	v.r.dead.Each(func(_ uint64, _ types.Tuple, ds *[]deadRow) bool {
+		for _, d := range *ds {
+			if v.deadVisible(d) && !fn(d.t) {
+				return false
+			}
 		}
 		return true
 	})
-	for _, ds := range v.r.dead {
-		for _, d := range ds {
-			if v.deadVisible(d) {
-				n++
-			}
-		}
+}
+
+// eachLive calls fn for every row of s visible at the snapshot; it
+// reports whether fn stopped the iteration. Each row's stored hash
+// probes the sidecar (an empty sidecar answers without looking).
+func (v snapSource) eachLive(s *types.Set, fn func(types.Tuple) bool) (stopped bool) {
+	s.EachH(func(h uint64, t types.Tuple) bool {
+		stopped = !v.hidden(h, t) && !fn(t)
+		return !stopped
+	})
+	return stopped
+}
+
+func (v snapSource) Len() int {
+	v.acquire()
+	defer v.release()
+	if v.r.added.Len() == 0 && v.r.dead.Len() == 0 {
+		return v.r.rows.Len()
 	}
+	n := 0
+	count := func(types.Tuple) bool { n++; return true }
+	v.eachLive(&v.r.rows, count)
+	v.eachDead(count)
 	return n
 }
 
 func (v snapSource) Each(fn func(types.Tuple) bool) {
-	defer v.acquire()()
+	v.acquire()
+	defer v.release()
 	v.r.met.Reads.Add(int64(v.r.rows.Len()))
-	stopped := false
-	v.r.rows.Each(func(t types.Tuple) bool {
-		if v.hidden(t.Key()) {
-			return true
-		}
-		if !fn(t) {
-			stopped = true
-			return false
-		}
-		return true
-	})
-	if stopped {
-		return
-	}
-	for _, ds := range v.r.dead {
-		for _, d := range ds {
-			if v.deadVisible(d) && !fn(d.t) {
-				return
-			}
-		}
+	if !v.eachLive(&v.r.rows, fn) {
+		v.eachDead(fn)
 	}
 }
 
@@ -357,45 +348,36 @@ func (v snapSource) Lookup(col int, val types.Value, fn func(types.Tuple) bool) 
 	if col < 0 || col >= v.r.arity {
 		return
 	}
-	defer v.acquire()()
+	v.acquire()
+	defer v.release()
 	v.r.met.IndexProbes.Inc()
-	stopped := false
-	if s, ok := v.r.index[col][val.Key()]; ok {
+	if s := v.r.posting(col, val); s != nil {
 		v.r.met.Reads.Add(int64(s.Len()))
-		s.Each(func(t types.Tuple) bool {
-			if v.hidden(t.Key()) {
-				return true
-			}
-			if !fn(t) {
-				stopped = true
-				return false
-			}
-			return true
-		})
-	}
-	if stopped || len(v.r.dead) == 0 {
-		return
-	}
-	vk := val.Key()
-	for _, ds := range v.r.dead {
-		for _, d := range ds {
-			if v.deadVisible(d) && d.t[col].Key() == vk && !fn(d.t) {
-				return
-			}
+		if v.eachLive(s, fn) {
+			return
 		}
 	}
+	if v.r.dead.Len() == 0 {
+		return
+	}
+	v.eachDead(func(t types.Tuple) bool {
+		return !t[col].KeyEqual(val) || fn(t)
+	})
 }
 
 func (v snapSource) Contains(t types.Tuple) bool {
-	defer v.acquire()()
+	v.acquire()
+	defer v.release()
 	v.r.met.IndexProbes.Inc()
-	key := t.Key()
-	if v.r.rows.ContainsKey(key) && !v.hidden(key) {
+	h := t.Hash()
+	if v.r.rows.ContainsH(h, t) && !v.hidden(h, t) {
 		return true
 	}
-	for _, d := range v.r.dead[key] {
-		if v.deadVisible(d) {
-			return true
+	if ds := v.r.dead.FindH(h, t); ds != nil {
+		for _, d := range *ds {
+			if v.deadVisible(d) {
+				return true
+			}
 		}
 	}
 	return false
@@ -411,43 +393,32 @@ func (r *Relation) insertAt(t types.Tuple, seq uint64) (bool, error) {
 	}
 	r.latch.lock()
 	defer r.latch.unlock()
-	key := t.Key()
-	if ds, ok := r.dead[key]; ok {
-		for i, d := range ds {
-			if d.delSeq != seq {
-				continue
-			}
-			ds = append(ds[:i], ds[i+1:]...)
-			if len(ds) == 0 {
-				delete(r.dead, key)
-			} else {
-				r.dead[key] = ds
-			}
-			if !r.rows.Add(t) {
-				return false, nil
-			}
-			r.indexAdd(t)
-			if d.addSeq > 0 {
-				r.addedSet(key, d.addSeq)
-			}
-			r.met.Inserts.Inc()
-			return true, nil
-		}
-	}
-	if !r.rows.Add(t) {
+	h := t.Hash()
+	if !r.rows.AddH(h, t) {
 		return false, nil
 	}
 	r.met.Inserts.Inc()
-	r.indexAdd(t)
-	r.addedSet(key, seq)
-	return true, nil
-}
-
-func (r *Relation) addedSet(key string, seq uint64) {
-	if r.added == nil {
-		r.added = make(map[string]uint64)
+	r.indexAdd(h, t)
+	addSeq := seq
+	if ds := r.dead.FindH(h, t); ds != nil {
+		for i, d := range *ds {
+			if d.delSeq != seq {
+				continue
+			}
+			// Resurrect: the row is live again as of its original
+			// addSeq (0 = predates the sidecar, nothing to record).
+			addSeq = d.addSeq
+			if *ds = append((*ds)[:i], (*ds)[i+1:]...); len(*ds) == 0 {
+				r.dead.DeleteH(h, t)
+			}
+			break
+		}
 	}
-	r.added[key] = seq
+	if addSeq > 0 {
+		a, _ := r.added.RefH(h, t)
+		*a = addSeq
+	}
+	return true, nil
 }
 
 // removeAt deletes t at write sequence seq, leaving a tombstone for
@@ -460,41 +431,51 @@ func (r *Relation) removeAt(t types.Tuple, seq uint64) (bool, error) {
 	}
 	r.latch.lock()
 	defer r.latch.unlock()
-	key := t.Key()
-	if !r.rows.Remove(t) {
+	h := t.Hash()
+	if !r.rows.RemoveH(h, t) {
 		return false, nil
 	}
 	r.met.Deletes.Inc()
-	r.indexRemove(t)
-	a := r.added[key]
-	delete(r.added, key)
-	if a != seq {
-		if r.dead == nil {
-			r.dead = make(map[string][]deadRow)
-		}
-		r.dead[key] = append(r.dead[key], deadRow{t: t, addSeq: a, delSeq: seq})
+	r.indexRemove(h, t)
+	var addSeq uint64
+	if a := r.added.FindH(h, t); a != nil {
+		addSeq = *a
+		r.added.DeleteH(h, t)
+	}
+	if addSeq != seq {
+		ds, _ := r.dead.RefH(h, t)
+		*ds = append(*ds, deadRow{t: t, addSeq: addSeq, delSeq: seq})
 	}
 	return true, nil
 }
 
 // checkVersions verifies sidecar sanity: every `added` entry names a
-// live row, and every tombstone's lifetime is well-formed. Caller holds
-// the latch or is the quiesced writer.
+// live row, every tombstone is filed under its own tuple, and every
+// tombstone's lifetime is well-formed. Caller holds the latch or is the
+// quiesced writer.
 func (r *Relation) checkVersions() error {
-	for k, a := range r.added {
-		if !r.rows.ContainsKey(k) {
-			return fmt.Errorf("relation %q: version sidecar marks missing row %q as added at %d", r.name, k, a)
+	var err error
+	r.added.Each(func(h uint64, t types.Tuple, a *uint64) bool {
+		if h != t.Hash() || !r.rows.ContainsH(h, t) {
+			err = fmt.Errorf("relation %q: version sidecar marks missing row %s as added at %d", r.name, t, *a)
 		}
+		return err == nil
+	})
+	if err != nil {
+		return err
 	}
-	for k, ds := range r.dead {
-		for _, d := range ds {
-			if d.t.Key() != k {
-				return fmt.Errorf("relation %q: tombstone keyed %q holds tuple %s", r.name, k, d.t)
-			}
-			if d.delSeq <= d.addSeq {
-				return fmt.Errorf("relation %q: tombstone %s deleted at %d before added at %d", r.name, d.t, d.delSeq, d.addSeq)
+	r.dead.Each(func(h uint64, k types.Tuple, ds *[]deadRow) bool {
+		if len(*ds) == 0 {
+			err = fmt.Errorf("relation %q: version sidecar keeps an empty tombstone list for %s", r.name, k)
+		}
+		for _, d := range *ds {
+			if h != d.t.Hash() || !d.t.KeyEqual(k) {
+				err = fmt.Errorf("relation %q: tombstone keyed %s holds tuple %s", r.name, k, d.t)
+			} else if d.delSeq <= d.addSeq {
+				err = fmt.Errorf("relation %q: tombstone %s deleted at %d before added at %d", r.name, d.t, d.delSeq, d.addSeq)
 			}
 		}
-	}
-	return nil
+		return err == nil
+	})
+	return err
 }

@@ -85,18 +85,25 @@ type Relation struct {
 	arity   int
 	keyCols []int
 	rows    types.Set
-	// index[col][valueKey] is the set of rows with that column value.
-	index []map[string]*types.Set
+	// index[col] maps a column value — as the one-column tuple (v) — to
+	// the posting set of rows holding it, stored in the table slot
+	// itself. A key is a sub-slice of the first row filed under it (no
+	// copy, no allocation per new distinct value), so it can keep that
+	// row's backing array alive after the row is deleted — at most one
+	// dead row per distinct value, while other rows still share it; an
+	// entry is dropped when its posting set drains.
+	index []types.Map[types.Set]
 	met   *Metrics // never nil; zero-value Metrics when observability is off
 
-	// MVCC sidecar (see mvcc.go), guarded by latch: added maps the key
-	// of each recently-added live row to its write sequence, dead holds
-	// tombstones snapshots may still need, lastWrite is the commit
-	// sequence of the last committed write (conflict validation). Both
-	// maps drain to nil/empty whenever no snapshot is pinned.
+	// MVCC sidecar (see mvcc.go), guarded by latch: added maps each
+	// recently-added live row to its write sequence, dead holds the
+	// tombstones snapshots may still need under the deleted tuple,
+	// lastWrite is the commit sequence of the last committed write
+	// (conflict validation). Both tables drain to empty whenever no
+	// snapshot is pinned.
 	latch     rwlatch
-	added     map[string]uint64
-	dead      map[string][]deadRow
+	added     types.Map[uint64]
+	dead      types.Map[[]deadRow]
 	lastWrite uint64
 }
 
@@ -113,10 +120,7 @@ func NewRelation(name string, arity int, keyCols []int) (*Relation, error) {
 		}
 	}
 	r := &Relation{name: name, arity: arity, keyCols: append([]int(nil), keyCols...), met: &Metrics{}}
-	r.index = make([]map[string]*types.Set, arity)
-	for i := range r.index {
-		r.index[i] = make(map[string]*types.Set)
-	}
+	r.index = make([]types.Map[types.Set], arity)
 	return r, nil
 }
 
@@ -157,10 +161,18 @@ func (r *Relation) Lookup(col int, v types.Value, fn func(types.Tuple) bool) {
 		return
 	}
 	r.met.IndexProbes.Inc()
-	if s, ok := r.index[col][v.Key()]; ok {
+	if s := r.posting(col, v); s != nil {
 		r.met.Reads.Add(int64(s.Len()))
 		s.Each(fn)
 	}
+}
+
+// posting returns the posting set of column value v, or nil; it is
+// valid until the index is next written. The probe key lives on the
+// stack: an index lookup allocates nothing.
+func (r *Relation) posting(col int, v types.Value) *types.Set {
+	key := [1]types.Value{v}
+	return r.index[col].Find(key[:])
 }
 
 // LookupCount returns the number of tuples with column col equal to v.
@@ -169,10 +181,7 @@ func (r *Relation) LookupCount(col int, v types.Value) int {
 		return 0
 	}
 	r.met.IndexProbes.Inc()
-	if s, ok := r.index[col][v.Key()]; ok {
-		return s.Len()
-	}
-	return 0
+	return r.posting(col, v).Len()
 }
 
 // insert adds t with no version bookkeeping — the recovery path, which
@@ -184,11 +193,12 @@ func (r *Relation) insert(t types.Tuple) (bool, error) {
 	}
 	r.latch.lock()
 	defer r.latch.unlock()
-	if !r.rows.Add(t) {
+	h := t.Hash()
+	if !r.rows.AddH(h, t) {
 		return false, nil
 	}
 	r.met.Inserts.Inc()
-	r.indexAdd(t)
+	r.indexAdd(h, t)
 	return true, nil
 }
 
@@ -200,37 +210,34 @@ func (r *Relation) remove(t types.Tuple) (bool, error) {
 	}
 	r.latch.lock()
 	defer r.latch.unlock()
-	if !r.rows.Remove(t) {
+	h := t.Hash()
+	if !r.rows.RemoveH(h, t) {
 		return false, nil
 	}
 	r.met.Deletes.Inc()
-	r.indexRemove(t)
+	r.indexRemove(h, t)
 	return true, nil
 }
 
-// indexAdd indexes t under every column. Caller holds the latch and has
-// added t to rows.
-func (r *Relation) indexAdd(t types.Tuple) {
-	for col, v := range t {
-		k := v.Key()
-		s, ok := r.index[col][k]
-		if !ok {
-			s = types.NewSet()
-			r.index[col][k] = s
-		}
-		s.Add(t)
+// indexAdd indexes t (hash h) under every column. Caller holds the
+// latch and has added t to rows.
+func (r *Relation) indexAdd(h uint64, t types.Tuple) {
+	for col := range t {
+		s, _ := r.index[col].Ref(t[col : col+1 : col+1])
+		s.AddH(h, t)
 	}
 }
 
-// indexRemove unindexes t from every column. Caller holds the latch and
-// has removed t from rows.
-func (r *Relation) indexRemove(t types.Tuple) {
-	for col, v := range t {
-		k := v.Key()
-		if s, ok := r.index[col][k]; ok {
-			s.Remove(t)
+// indexRemove unindexes t (hash h) from every column. Caller holds the
+// latch and has removed t from rows.
+func (r *Relation) indexRemove(h uint64, t types.Tuple) {
+	for col := range t {
+		key := t[col : col+1]
+		kh := key.Hash()
+		if s := r.index[col].FindH(kh, key); s != nil {
+			s.RemoveH(h, t)
 			if s.Len() == 0 {
-				delete(r.index[col], k)
+				r.index[col].DeleteH(kh, key)
 			}
 		}
 	}
@@ -245,14 +252,16 @@ func (r *Relation) keyMatches(key []types.Value) []types.Tuple {
 	var out []types.Tuple
 	r.Lookup(r.keyCols[0], key[0], func(t types.Tuple) bool {
 		for i, c := range r.keyCols {
-			if !t[c].Equal(key[i]) {
+			if !t[c].KeyEqual(key[i]) {
 				return true
 			}
 		}
 		out = append(out, t)
 		return true
 	})
-	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
+	if len(out) > 1 {
+		sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
+	}
 	return out
 }
 
@@ -519,7 +528,7 @@ func (s *Store) setTx(rel string, key []types.Value, value []types.Value) ([]typ
 	old := r.keyMatches(key)
 	// If the new tuple is already the (only) current value, Set is a
 	// no-op and emits nothing — there is no physical change.
-	if len(old) == 1 && old[0].Equal(nt) {
+	if len(old) == 1 && old[0].KeyEqual(nt) {
 		return nil, false, nil
 	}
 	// Capability enforcement happens before any mutation so a rejected
@@ -623,14 +632,17 @@ func (r *Relation) checkConsistency() error {
 		return err
 	}
 	var err error
-	r.rows.Each(func(t types.Tuple) bool {
+	r.rows.EachH(func(h uint64, t types.Tuple) bool {
 		if len(t) != r.arity {
 			err = fmt.Errorf("relation %q: row %s has arity %d, want %d", r.name, t, len(t), r.arity)
 			return false
 		}
+		if h != t.Hash() {
+			err = fmt.Errorf("relation %q: row %s is filed under hash %#x, its hash is %#x", r.name, t, h, t.Hash())
+			return false
+		}
 		for col, v := range t {
-			s, ok := r.index[col][v.Key()]
-			if !ok || !s.Contains(t) {
+			if s := r.posting(col, v); !s.ContainsH(h, t) {
 				err = fmt.Errorf("relation %q: row %s missing from index on column %d", r.name, t, col)
 				return false
 			}
@@ -642,22 +654,27 @@ func (r *Relation) checkConsistency() error {
 	}
 	for col := range r.index {
 		total := 0
-		for key, s := range r.index[col] {
+		r.index[col].Each(func(_ uint64, key types.Tuple, s *types.Set) bool {
+			if s.Len() == 0 {
+				err = fmt.Errorf("relation %q: index on column %d keeps an empty posting set for %s", r.name, col, key)
+				return false
+			}
 			total += s.Len()
 			s.Each(func(t types.Tuple) bool {
 				if !r.rows.Contains(t) {
 					err = fmt.Errorf("relation %q: index on column %d holds phantom tuple %s", r.name, col, t)
 					return false
 				}
-				if t[col].Key() != key {
-					err = fmt.Errorf("relation %q: tuple %s indexed under wrong key %q on column %d", r.name, t, key, col)
+				if !t[col].KeyEqual(key[0]) {
+					err = fmt.Errorf("relation %q: tuple %s indexed under wrong key %s on column %d", r.name, t, key, col)
 					return false
 				}
 				return true
 			})
-			if err != nil {
-				return err
-			}
+			return err == nil
+		})
+		if err != nil {
+			return err
 		}
 		if total != r.rows.Len() {
 			return fmt.Errorf("relation %q: index on column %d covers %d tuples, rows hold %d", r.name, col, total, r.rows.Len())

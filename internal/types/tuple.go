@@ -5,19 +5,9 @@ import "strings"
 // Tuple is an ordered list of values — one row of a relation.
 type Tuple []Value
 
-// Key returns a canonical injective encoding of the tuple (including its
-// arity), suitable for use as a map key in tuple sets.
-func (t Tuple) Key() string {
-	var b []byte
-	b = appendUint64(b, uint64(len(t)))
-	for _, v := range t {
-		b = v.AppendKey(b)
-	}
-	return string(b)
-}
-
 // Equal reports whether t and u have the same arity and pairwise Equal
-// values.
+// values — the query language's equality. Set membership uses KeyEqual,
+// which differs on NaN and on integers beyond ±2⁵³ (see key.go).
 func (t Tuple) Equal(u Tuple) bool {
 	if len(t) != len(u) {
 		return false

@@ -10,7 +10,7 @@ func TestTupleKeyDistinguishesArity(t *testing.T) {
 	a := Tuple{Int(1), Int(2)}
 	b := Tuple{Int(1)}
 	c := Tuple{Int(1), Int(2), Int(3)}
-	keys := map[string]bool{a.Key(): true, b.Key(): true, c.Key(): true}
+	keys := map[string]bool{tkey(a): true, tkey(b): true, tkey(c): true}
 	if len(keys) != 3 {
 		t.Error("tuples of different arity must have distinct keys")
 	}
@@ -20,7 +20,7 @@ func TestTupleKeyNoConcatAmbiguity(t *testing.T) {
 	// ("ab","c") vs ("a","bc") must not collide.
 	a := Tuple{Str("ab"), Str("c")}
 	b := Tuple{Str("a"), Str("bc")}
-	if a.Key() == b.Key() {
+	if tkey(a) == tkey(b) {
 		t.Error("string concatenation ambiguity in tuple key")
 	}
 }
@@ -97,7 +97,7 @@ func TestTupleKeyEqualConsistency_Quick(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		a, b := randomTuple(r), randomTuple(r)
-		return a.Equal(b) == (a.Key() == b.Key())
+		return a.Equal(b) == (tkey(a) == tkey(b))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)

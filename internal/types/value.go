@@ -10,7 +10,6 @@ package types
 
 import (
 	"fmt"
-	"math"
 	"strconv"
 )
 
@@ -52,8 +51,8 @@ func (k Kind) String() string {
 type OID uint64
 
 // Value is a tagged scalar. The zero Value is the nil value.
-// Values are comparable with == only within this package's helpers;
-// use Equal for semantic equality (it coerces int/float).
+// Do not compare Values with ==; use Equal for the query language's
+// equality (it coerces int/float) or Tuple.KeyEqual for set membership.
 type Value struct {
 	Kind Kind
 	I    int64   // KindInt, KindBool (0/1)
@@ -119,8 +118,15 @@ func (v Value) AsFloat() float64 {
 // IsNumeric reports whether v is an int or float.
 func (v Value) IsNumeric() bool { return v.Kind == KindInt || v.Kind == KindFloat }
 
-// Equal reports semantic equality. Ints and floats compare numerically
-// (Int(2) equals Float(2.0)); other kinds must match exactly.
+// Equal reports semantic equality — the query language's `=`. Ints and
+// floats compare numerically as float64 (Int(2) equals Float(2.0));
+// other kinds must match exactly.
+//
+// This is NOT the equality tuple sets, indexes and Δ-sets use. Those
+// use key equality (key.go), which agrees with Equal except that NaN is
+// key-equal to itself but never Equal, and that an int beyond ±2⁵³ is
+// Equal to the float it rounds to (Int(2⁵³+1).Equal(Float(2⁵³))) but
+// not key-equal to it, because key equality compares integers exactly.
 func (v Value) Equal(w Value) bool {
 	if v.Kind == w.Kind {
 		switch v.Kind {
@@ -241,52 +247,6 @@ func (v Value) String() string {
 		return "?"
 	}
 }
-
-// AppendKey appends a canonical, injective byte encoding of v to dst.
-// Two values encode identically iff they are Equal. Numeric values are
-// normalized so Int(2) and Float(2.0) share an encoding.
-func (v Value) AppendKey(dst []byte) []byte {
-	switch v.Kind {
-	case KindNil:
-		return append(dst, 'N')
-	case KindBool:
-		if v.I != 0 {
-			return append(dst, 'T')
-		}
-		return append(dst, 'F')
-	case KindInt, KindFloat:
-		// Normalize: integral floats encode as ints.
-		if v.Kind == KindFloat {
-			if f := v.F; f == math.Trunc(f) && f >= math.MinInt64 && f <= math.MaxInt64 {
-				dst = append(dst, 'I')
-				return appendUint64(dst, uint64(int64(f)))
-			}
-			dst = append(dst, 'D')
-			return appendUint64(dst, math.Float64bits(v.F))
-		}
-		dst = append(dst, 'I')
-		return appendUint64(dst, uint64(v.I))
-	case KindString:
-		dst = append(dst, 'S')
-		dst = appendUint64(dst, uint64(len(v.S)))
-		return append(dst, v.S...)
-	case KindObject:
-		dst = append(dst, 'O')
-		return appendUint64(dst, uint64(v.O))
-	default:
-		return append(dst, '?')
-	}
-}
-
-func appendUint64(dst []byte, u uint64) []byte {
-	return append(dst,
-		byte(u>>56), byte(u>>48), byte(u>>40), byte(u>>32),
-		byte(u>>24), byte(u>>16), byte(u>>8), byte(u))
-}
-
-// Key returns the canonical encoding of v as a string, suitable for use
-// as a map key.
-func (v Value) Key() string { return string(v.AppendKey(nil)) }
 
 // Arithmetic. All four operations coerce int/float: the result is an int
 // only when both operands are ints (except Div, which is float unless both

@@ -91,7 +91,7 @@ func TestValueKeyInjective(t *testing.T) {
 	}
 	seen := map[string]Value{}
 	for _, v := range distinct {
-		k := v.Key()
+		k := vkey(v)
 		if prev, ok := seen[k]; ok {
 			t.Errorf("key collision between %s and %s", prev, v)
 		}
@@ -100,19 +100,21 @@ func TestValueKeyInjective(t *testing.T) {
 }
 
 func TestValueKeyNumericNormalization(t *testing.T) {
-	if Int(2).Key() != Float(2.0).Key() {
+	if vkey(Int(2)) != vkey(Float(2.0)) {
 		t.Error("Int(2) and Float(2.0) must share a key (Equal values)")
 	}
-	if Int(2).Key() == Float(2.5).Key() {
+	if vkey(Int(2)) == vkey(Float(2.5)) {
 		t.Error("distinct values must have distinct keys")
 	}
 }
 
 func TestValueKeyEqualConsistency_Quick(t *testing.T) {
-	// Property: for int/float pairs, Equal(v,w) iff Key(v)==Key(w).
+	// Property: on quick's random int/float pairs, Equal(v,w) iff
+	// key-equal. It does not hold everywhere (NaN, ints beyond ±2⁵³
+	// against floats): TestKeyEqualityContract pins the exceptions.
 	f := func(a int64, b float64) bool {
 		v, w := Int(a), Float(b)
-		return v.Equal(w) == (v.Key() == w.Key())
+		return v.Equal(w) == (vkey(v) == vkey(w))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -175,12 +177,12 @@ func TestFloatKeyNonIntegral(t *testing.T) {
 	vals := []Value{Float(math.Pi), Float(-math.Pi), Float(1e300), Float(-1e300)}
 	seen := map[string]bool{}
 	for _, v := range vals {
-		k := v.Key()
+		k := vkey(v)
 		if seen[k] {
 			t.Errorf("collision for %s", v)
 		}
 		seen[k] = true
-		if k != v.Key() {
+		if k != vkey(v) {
 			t.Error("key not stable")
 		}
 	}
