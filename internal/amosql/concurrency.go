@@ -13,6 +13,14 @@ package amosql
 //     pins an MVCC snapshot (storage.SnapshotView) and evaluates
 //     against it with a private compiler and evaluator, seeing exactly
 //     the commits sequenced before the pin.
+//   - Re-entrant calls from the holder are admitted at once: a rule
+//     action's updates join the committing transaction. Telling the
+//     holder from a stranger takes a goroutine id, and reading one
+//     costs a stack walk (goid), so the holder stays anonymous while
+//     only session code runs and is named just where user code that
+//     can re-enter takes over: a check round's actions, a foreign
+//     function in an expression (both asHolder), and a lease that
+//     outlives the call (leave).
 //   - Atomic runs an optimistic transaction: reads on a snapshot with
 //     the read set recorded, writes buffered, then validated and
 //     applied under the gate — ErrConflict when a commit invalidated
@@ -25,6 +33,8 @@ package amosql
 import (
 	"context"
 	"fmt"
+	"iter"
+	"runtime"
 	"sort"
 	"time"
 
@@ -45,25 +55,84 @@ const defaultWriterWait = 30 * time.Second
 // that carry no context deadline of their own (<= 0 waits forever).
 func (s *Session) SetWriterWait(d time.Duration) { s.writerWait.Store(int64(d)) }
 
+// The values of Session.owner that are not a goroutine id (ids start
+// at 1).
+const (
+	ownerFree int64 = 0
+	// ownerAnon: the gate is held and the holder has not been named.
+	// Whoever it is, it is busy inside session code, so no caller
+	// arriving at an entry point can be it.
+	ownerAnon int64 = -1
+)
+
+// goid returns the calling goroutine's id, parsed in place from the
+// "goroutine N [status]:" header runtime.Stack writes. The walk behind
+// it costs microseconds and grows with the depth of the caller's stack,
+// so it is only made where a gate is held by a named goroutine. ok is
+// false when the header does not parse: that is no identity, never one
+// to compare equal to another failure.
+func goid() (id int64, ok bool) {
+	const prefix = "goroutine "
+	var buf [len(prefix) + 20]byte // the widest int64 and the space after it
+	n := runtime.Stack(buf[:], false)
+	if n < len(prefix) || string(buf[:len(prefix)]) != prefix {
+		return 0, false
+	}
+	i := len(prefix)
+	for ; i < n && '0' <= buf[i] && buf[i] <= '9'; i++ {
+		id = id*10 + int64(buf[i]-'0')
+	}
+	if i == len(prefix) || i == n || buf[i] != ' ' {
+		return 0, false
+	}
+	return id, true
+}
+
+// heldByCaller reports whether the calling goroutine is the named
+// holder of the gate. A free or anonymously held gate answers no
+// without a stack walk.
+func (s *Session) heldByCaller() bool {
+	o := s.owner.Load()
+	if o == ownerFree || o == ownerAnon {
+		return false
+	}
+	g, ok := goid()
+	return ok && g == o
+}
+
 // enter acquires the writer gate with the default deadline; see
 // enterCtx.
 func (s *Session) enter() error { return s.enterCtx(context.Background()) }
 
 // enterCtx admits the calling goroutine as the session's writer. It
 // fails fast on a poisoned database (sticky ErrCorrupt); re-entrant
-// calls on the owning goroutine are admitted immediately (rule actions
+// calls from the named holder are admitted immediately (rule actions
 // legitimately issue statements during the check phase, and an explicit
-// transaction's statements re-enter its lease). Other goroutines queue
-// FIFO until the gate frees or ctx expires (ErrSessionBusy).
+// transaction's statements re-enter its lease). Everyone else takes the
+// gate if it is free — the common case, which reads no clock and builds
+// no deadline — or queues FIFO until it frees or ctx expires
+// (ErrSessionBusy). The new holder is anonymous.
 func (s *Session) enterCtx(ctx context.Context) error {
 	if err := s.txns.Corrupt(); err != nil {
 		return err
 	}
-	g := goid()
-	if s.owner.Load() == g {
+	if s.heldByCaller() {
 		s.depth++
 		return nil
 	}
+	if !s.gate.TryAcquire() {
+		if err := s.awaitGate(ctx); err != nil {
+			return err
+		}
+	}
+	s.owner.Store(ownerAnon)
+	s.depth = 1
+	return nil
+}
+
+// awaitGate queues for the gate, bounded by ctx's deadline or, absent
+// one, the session's writer-wait default.
+func (s *Session) awaitGate(ctx context.Context) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -74,20 +143,16 @@ func (s *Session) enterCtx(ctx context.Context) error {
 			defer cancel()
 		}
 	}
-	if err := s.gate.Acquire(ctx); err != nil {
-		return err
-	}
-	s.owner.Store(g)
-	s.depth = 1
-	return nil
+	return s.gate.Acquire(ctx)
 }
 
 // leave exits one nesting level. At depth zero the gate is released —
 // unless an explicit transaction is open, whose lease persists until
-// Commit/Rollback. A group-commit fsync wait armed by the wal hook is
-// drained AFTER the release, so the next writer appends its record
-// behind ours and shares the fsync; the commit is acknowledged to the
-// caller only once durable (fsync-before-ack, now batched). errp
+// Commit/Rollback; its holder is named now, so that its next statement
+// is recognised on entry. A group-commit fsync wait armed by the wal
+// hook is drained AFTER the release, so the next writer appends its
+// record behind ours and shares the fsync; the commit is acknowledged to
+// the caller only once durable (fsync-before-ack, now batched). errp
 // receives the durability failure if the call itself succeeded.
 func (s *Session) leave(errp *error) {
 	s.depth--
@@ -95,18 +160,62 @@ func (s *Session) leave(errp *error) {
 		return
 	}
 	if s.explicit && s.txns.InTransaction() {
+		if s.owner.Load() == ownerAnon {
+			// Unnamed (the id did not parse), the lease admits nobody,
+			// its holder included, until a deadline expires.
+			if g, ok := goid(); ok {
+				s.owner.Store(g)
+			}
+		}
 		return
 	}
 	s.explicit = false
 	wait := s.syncWait
 	s.syncWait = nil
-	s.owner.Store(0)
+	s.owner.Store(ownerFree)
 	s.gate.Release()
 	if wait != nil {
 		if err := wait(); err != nil && errp != nil && *errp == nil {
 			*errp = fmt.Errorf("commit applied but not durable: %w", err)
 		}
 	}
+}
+
+// asHolder runs fn — session code about to call user code that may
+// re-enter the session: a check round's actions, a foreign function —
+// with the gate's holder named, so the re-entrant call is admitted to
+// the transaction instead of queueing behind it.
+//
+// An anonymous holder is named on a fresh stack: fn runs on a coroutine
+// (iter.Pull: a same-thread hand-off, no scheduler and no second
+// thread) that records its own id first, and the caller resumes when fn
+// returns. goid's walk is linear in stack depth, and the re-entrant
+// calls user code makes each pay it again to be recognised; down here,
+// some thirty frames below Exec, naming the holder in place made both
+// several times dearer than on a stack that starts at fn. A panic or
+// runtime.Goexit in fn resurfaces in the caller, as iter.Pull
+// documents, so containment and deferred calls behave as if fn had run
+// in place.
+//
+// A holder that is named already — a lease, or fn nested inside another
+// asHolder — is the running goroutine, and fn runs in place. So it does
+// when the gate is free: the rule manager driven without the session's
+// entry points has nobody to recognise.
+func (s *Session) asHolder(fn func() error) error {
+	if s.owner.Load() != ownerAnon {
+		return fn()
+	}
+	var err error
+	next, stop := iter.Pull(func(func(struct{}) bool) {
+		if g, ok := goid(); ok {
+			s.owner.Store(g)
+		}
+		err = fn()
+	})
+	defer stop()
+	defer s.owner.Store(ownerAnon)
+	next()
+	return err
 }
 
 // --- interface-variable map (shared with gate-free readers) ---
@@ -240,10 +349,16 @@ func (s *Session) snapshotSelect(sel SelectStmt, view *storage.SnapshotView, rea
 
 // gatedQuery runs a select on the live store under the writer gate (the
 // aggregate fallback).
-func (s *Session) gatedQuery(ctx context.Context, sel SelectStmt) (r *Result, err error) {
-	if err = s.enterCtx(ctx); err != nil {
+func (s *Session) gatedQuery(ctx context.Context, sel SelectStmt) (*Result, error) {
+	if err := s.enterCtx(ctx); err != nil {
 		return nil, err
 	}
+	return s.liveQuery(sel)
+}
+
+// liveQuery runs a select on the live store for a caller that has
+// entered the session, and leaves it.
+func (s *Session) liveQuery(sel SelectStmt) (r *Result, err error) {
 	defer s.leave(&err)
 	res, err := s.execStmtSafe(sel, "")
 	if err != nil {

@@ -167,7 +167,7 @@ func (s *Session) loadState(st *wal.State) error {
 			deferred = append(deferred, src)
 			continue
 		}
-		if _, err := s.Exec(src); err != nil {
+		if _, err := s.execScript(src); err != nil {
 			return fmt.Errorf("journal DDL %q: %w", src, err)
 		}
 	}
@@ -191,7 +191,7 @@ func (s *Session) loadState(st *wal.State) error {
 		}
 	}
 	for _, src := range deferred {
-		if _, err := s.Exec(src); err != nil {
+		if _, err := s.execScript(src); err != nil {
 			return fmt.Errorf("journal DDL %q: %w", src, err)
 		}
 	}
@@ -203,7 +203,7 @@ func (s *Session) replayRecord(r *wal.Record) error {
 	switch r.Kind {
 	case wal.RecDDL:
 		s.ddl = append(s.ddl, r.Stmt)
-		_, err := s.Exec(r.Stmt)
+		_, err := s.execScript(r.Stmt)
 		return err
 	case wal.RecIface:
 		for _, b := range r.Binds {
@@ -327,10 +327,10 @@ func (s *Session) walPersist(user, action []storage.Event) error {
 			return err
 		}
 		s.walSeq++
-		if s.owner.Load() == goid() {
-			// Gated commit: arm the fsync wait for leave() to drain
-			// after the gate is released, so concurrent committers
-			// share one batched fsync.
+		if s.depth > 0 {
+			// Gated commit, inside an enter/leave pair: arm the fsync
+			// wait for leave() to drain after the gate is released, so
+			// concurrent committers share one batched fsync.
 			s.syncWait = s.wal.AwaitSync
 			return nil
 		}

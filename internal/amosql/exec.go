@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"runtime"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -56,16 +54,18 @@ type Session struct {
 	lintMode bool
 
 	// Concurrency control (see concurrency.go). Transactions are serial
-	// (internal/txn): gate is the fair FIFO writer-admission gate,
-	// owner the id of the goroutine currently holding it (0 = free) and
-	// depth its re-entrancy count — re-entrant calls from the owning
-	// goroutine are part of the execution model (rule actions issue
-	// updates that join the committing transaction). explicit marks a
-	// gate lease held across calls by an open explicit transaction;
-	// writerWait (ns) is the default admission deadline. syncWait,
-	// armed by the wal hook under SyncGrouped, is the pending group
-	// fsync the session drains after releasing the gate. Readers run
-	// on MVCC snapshots and never touch the gate: snapGensym names
+	// (internal/txn): gate is the fair FIFO writer-admission gate, owner
+	// says who holds it — ownerFree, ownerAnon (held by whoever is
+	// running session code) or the id of a named goroutine — and depth
+	// is the holder's re-entrancy count: re-entrant calls from the
+	// holder are part of the execution model (rule actions issue updates
+	// that join the committing transaction), and the holder is named
+	// exactly where it hands control to code that can make them.
+	// explicit marks a gate lease held across calls by an open explicit
+	// transaction; writerWait (ns) is the default admission deadline.
+	// syncWait, armed by the wal hook under SyncGrouped, is the pending
+	// group fsync the session drains after releasing the gate. Readers
+	// run on MVCC snapshots and never touch the gate: snapGensym names
 	// their private query predicates, schemaMu orders DDL (W) against
 	// snapshot compiles/evaluations (R), ifaceMu guards the
 	// interface-variable map against gate-free readers.
@@ -135,6 +135,9 @@ func NewSession(mode rules.Mode) *Session {
 	}
 	s.txns = txn.NewManager(st)
 	s.gate = txn.NewGate()
+	// Rule actions run as the gate's named holder, so the statements
+	// they issue are recognised as the committing transaction's own.
+	s.mgr.RunActions = s.asHolder
 	s.writerWait.Store(int64(defaultWriterWait))
 	// The rules hook precedes the wal hook (added by AttachDir): Δ-sets
 	// and deferred deletions settle before the wal hook's bookkeeping,
@@ -390,22 +393,6 @@ func (s *Session) RegisterFunction(name string, params []string, result string, 
 	})
 }
 
-// goid returns the current goroutine's id, parsed from runtime.Stack —
-// the standard reentrant-lock trick; only paid on session entry.
-func goid() int64 {
-	var buf [32]byte
-	n := runtime.Stack(buf[:], false)
-	f := strings.Fields(string(buf[:n]))
-	if len(f) < 2 {
-		return -1
-	}
-	id, err := strconv.ParseInt(f[1], 10, 64)
-	if err != nil {
-		return -1
-	}
-	return id
-}
-
 // Exec parses and executes all statements in src, returning one result
 // per statement. Execution stops at the first error. Concurrent callers
 // queue for the writer gate (see concurrency.go).
@@ -430,7 +417,8 @@ func (s *Session) ExecContext(ctx context.Context, src string) (out []Result, er
 }
 
 // execScript parses and runs src under an already-held gate (the
-// optimistic-transaction apply path).
+// optimistic-transaction apply path, and recovery's replay of journaled
+// statements).
 func (s *Session) execScript(src string) ([]Result, error) {
 	stmts, srcs, err := ParseWithSources(src)
 	if err != nil {
@@ -481,10 +469,11 @@ func (s *Session) MustExec(src string) []Result {
 }
 
 // Query executes a single select statement and returns its rows. From
-// the goroutine that already holds the session (a rule action querying
-// mid-commit) it runs on the live store inside the transaction; from
-// any other goroutine it runs against a pinned MVCC snapshot WITHOUT
-// waiting for the writer gate, seeing exactly the committed state.
+// the session's named holder (a rule action or foreign function querying
+// mid-commit, a statement of an open explicit transaction) it runs on
+// the live store inside the transaction; from anyone else it runs
+// against a pinned MVCC snapshot WITHOUT waiting for the writer gate,
+// seeing exactly the committed state.
 func (s *Session) Query(src string) (*Result, error) {
 	return s.QueryContext(context.Background(), src)
 }
@@ -500,8 +489,9 @@ func (s *Session) QueryContext(ctx context.Context, src string) (*Result, error)
 	if !ok {
 		return nil, fmt.Errorf("Query expects a select statement")
 	}
-	if s.owner.Load() == goid() {
-		return s.gatedQuery(ctx, sel)
+	if s.heldByCaller() {
+		s.depth++ // re-entrant; enterCtx would find that with a second stack walk
+		return s.liveQuery(sel)
 	}
 	return s.snapshotQuery(ctx, sel)
 }
@@ -1323,7 +1313,11 @@ func (s *Session) evalCall(x Call, binds map[string]types.Value) (types.Value, e
 		}
 		return ts[0][0], nil
 	default: // Foreign
-		rows, err := callForeign(x.Fn, f.Fn, args)
+		var rows [][]types.Value
+		err := s.asHolder(func() (err error) {
+			rows, err = callForeign(x.Fn, f.Fn, args)
+			return err
+		})
 		if err != nil {
 			return types.Value{}, err
 		}

@@ -119,7 +119,8 @@ func (k FunctionKind) String() string {
 type ForeignFunc func(args []types.Value) ([][]types.Value, error)
 
 // Procedure is a foreign procedure with side effects, usable as a rule
-// action.
+// action. The session may call it on a stack of its own, not the
+// goroutine that issued the committing statement.
 type Procedure func(args []types.Value) error
 
 // Param is one formal parameter of a function.

@@ -426,9 +426,10 @@ func (r *Recorder) CommitEnd(tok bool, rec CommitRecord) {
 // NoteGateWait records the latest writer-gate admission wait; the next
 // CommitEnd attributes it to its commit record. With several writers
 // the attribution is approximate (last wait wins), which is fine for a
-// diagnostic window.
+// diagnostic window. An uncontended admission notes a zero wait, so an
+// earlier waiter's figure is not carried over to this holder's commit.
 func (r *Recorder) NoteGateWait(d time.Duration) {
-	if r == nil || d <= 0 || !r.armed.Load() {
+	if r == nil || d < 0 || !r.armed.Load() {
 		return
 	}
 	r.gateWait.Store(int64(d))

@@ -98,7 +98,7 @@ func (m *Manager) checkPhase() error {
 				for _, te := range m.net.Trace() {
 					m.debugf("  %s produced %d tuple(s)", te.Differential, te.Produced)
 				}
-				for _, a := range sortedActivations(m.activations) {
+				for _, a := range m.sortedActivations() {
 					if !a.trigger.IsEmpty() {
 						m.debugf("  pending %s: %s", a.Key, a.trigger)
 					}
@@ -109,7 +109,7 @@ func (m *Manager) checkPhase() error {
 		}
 		// Conflict resolution: choose one triggered rule.
 		var cands []*Activation
-		for _, a := range sortedActivations(m.activations) {
+		for _, a := range m.sortedActivations() {
 			if a.trigger.Plus().Len() > 0 {
 				cands = append(cands, a)
 			}
@@ -142,17 +142,26 @@ func (m *Manager) checkPhase() error {
 				round, names, chosen.Key, len(instances))
 		}
 		// Set-oriented action execution over the net changes.
-		for _, inst := range instances {
-			m.debugf("  action %s%s", chosen.Rule.Name, inst)
-			if err := m.overBudget(deadline); err != nil {
-				return err
-			}
-			if err := m.runAction(chosen.Rule, inst); err != nil {
-				return err
-			}
-			m.met.Actions.Inc()
+		err := m.RunActions(func() error { return m.runActions(chosen.Rule, instances, deadline) })
+		if err != nil {
+			return err
 		}
 	}
+}
+
+// runActions executes r's action once per instance, in order.
+func (m *Manager) runActions(r *Rule, instances []types.Tuple, deadline time.Time) error {
+	for _, inst := range instances {
+		m.debugf("  action %s%s", r.Name, inst)
+		if err := m.overBudget(deadline); err != nil {
+			return err
+		}
+		if err := m.runAction(r, inst); err != nil {
+			return err
+		}
+		m.met.Actions.Inc()
+	}
+	return nil
 }
 
 // maxEventInstances bounds the condition bindings carried on one
@@ -240,7 +249,7 @@ func (m *Manager) deriveIncremental(round int, only map[string]bool) error {
 	m.met.Propagations.Inc()
 	m.met.Differentials.Add(int64(m.net.Executed()))
 	trace := m.net.Trace()
-	for _, a := range sortedActivations(m.activations) {
+	for _, a := range m.sortedActivations() {
 		if only != nil && !only[a.Key] {
 			continue
 		}
@@ -322,7 +331,7 @@ func (m *Manager) deriveNaive() error {
 		changed[pred] = true
 	}
 	ev := m.net.Evaluator()
-	for _, a := range sortedActivations(m.activations) {
+	for _, a := range m.sortedActivations() {
 		if !m.affectedBy(a, changed) {
 			continue
 		}
@@ -395,7 +404,7 @@ func (m *Manager) deriveHybrid(round int) error {
 
 	incr := map[string]bool{}
 	ev := m.net.Evaluator()
-	for _, a := range sortedActivations(m.activations) {
+	for _, a := range m.sortedActivations() {
 		if !m.affectedBy(a, changed) {
 			continue
 		}

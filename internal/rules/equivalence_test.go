@@ -198,7 +198,7 @@ func TestMonitorEquivalence_FinalStateAgrees(t *testing.T) {
 			f := newFuzzDB(t, mode, true, condSeed)
 			f.playScript(t, condSeed*7+1)
 			var s string
-			for _, a := range sortedActivations(f.mgr.activations) {
+			for _, a := range f.mgr.sortedActivations() {
 				ext, err := f.mgr.Network().Evaluator().EvalPred(a.CondName, false)
 				if err != nil {
 					t.Fatal(err)

@@ -187,9 +187,21 @@ type Manager struct {
 	CheckContext context.Context
 	// Resolve is the conflict resolution method.
 	Resolve ConflictResolver
+	// RunActions is handed the set-oriented action loop of every check
+	// round that fires; it must call loop exactly once and return its
+	// error (the default does just that). Actions are the one place the
+	// check phase calls user code, so the embedding session replaces it
+	// to run them where a re-entrant call is recognised as the
+	// transaction's own.
+	RunActions func(loop func() error) error
 
-	rules       map[string]*Rule
+	rules map[string]*Rule
+	// activations is keyed by activation key; sorted caches its values
+	// in key order for the check phase, which walks them several times
+	// per round. setActivation and dropActivation are the only writers
+	// and reset the cache.
 	activations map[string]*Activation
+	sorted      []*Activation
 	sharedViews []*objectlog.Def
 	sharedNames map[string]bool
 
@@ -300,6 +312,7 @@ func NewManager(store *storage.Store, mode Mode) *Manager {
 		analysisCache: map[string]analysisEntry{},
 	}
 	m.Resolve = defaultResolver
+	m.RunActions = func(loop func() error) error { return loop() }
 	m.SetObservability(obs.New())
 	return m
 }
@@ -626,18 +639,15 @@ func (m *Manager) Activate(ruleName string, args ...types.Value) (string, error)
 		Def:      def,
 		trigger:  delta.New(),
 	}
-	m.activations[key] = a
-	m.netDirty = true
+	m.setActivation(a)
 	if err := m.ensureNet(); err != nil {
-		delete(m.activations, key)
-		m.netDirty = true
+		m.dropActivation(key)
 		return "", err
 	}
 	if m.mode == Naive {
 		ext, err := m.net.Evaluator().EvalPred(condName, false)
 		if err != nil {
-			delete(m.activations, key)
-			m.netDirty = true
+			m.dropActivation(key)
 			return "", err
 		}
 		a.prevTrue = ext
@@ -665,8 +675,7 @@ func (m *Manager) Deactivate(key string) error {
 	if _, ok := m.activations[key]; !ok {
 		return fmt.Errorf("no activation %q", key)
 	}
-	delete(m.activations, key)
-	m.netDirty = true
+	m.dropActivation(key)
 	return m.ensureNet()
 }
 
@@ -769,7 +778,7 @@ func (m *Manager) ensureNet() error {
 			}
 		}
 	}
-	for _, a := range sortedActivations(m.activations) {
+	for _, a := range m.sortedActivations() {
 		if err := net.AddView(a.Def, true); err != nil {
 			return err
 		}
@@ -825,17 +834,36 @@ func (m *Manager) sharedViewUsed(name string) bool {
 	return false
 }
 
-func sortedActivations(m map[string]*Activation) []*Activation {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
+// setActivation adds a to the activation set; the network must be
+// rebuilt to monitor its condition.
+func (m *Manager) setActivation(a *Activation) {
+	m.activations[a.Key] = a
+	m.sorted = nil
+	m.netDirty = true
+}
+
+// dropActivation removes the activation with the given key.
+func (m *Manager) dropActivation(key string) {
+	delete(m.activations, key)
+	m.sorted = nil
+	m.netDirty = true
+}
+
+// sortedActivations returns the activations in key order. The slice is
+// shared between calls and never modified: a change to the activation
+// set makes the next call build a new one, so a caller that activates
+// or deactivates while ranging over it (a rule action may) keeps a
+// consistent view.
+func (m *Manager) sortedActivations() []*Activation {
+	if m.sorted == nil && len(m.activations) > 0 {
+		out := make([]*Activation, 0, len(m.activations))
+		for _, a := range m.activations {
+			out = append(out, a)
+		}
+		sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
+		m.sorted = out
 	}
-	sort.Strings(keys)
-	out := make([]*Activation, len(keys))
-	for i, k := range keys {
-		out[i] = m[k]
-	}
-	return out
+	return m.sorted
 }
 
 // OnEvent folds a physical update event into the network's base Δ-sets.
@@ -900,7 +928,7 @@ func (m *Manager) CheckInvariants(quiescent bool) error {
 		return err
 	}
 	if quiescent {
-		for _, a := range sortedActivations(m.activations) {
+		for _, a := range m.sortedActivations() {
 			if !a.trigger.IsEmpty() {
 				return fmt.Errorf("activation %s holds a pending trigger set outside the check phase: %s", a.Key, a.trigger)
 			}
@@ -967,7 +995,7 @@ type ActivationInfo struct {
 // named rule, sorted by key.
 func (m *Manager) ActivationsOf(rule string) []ActivationInfo {
 	var out []ActivationInfo
-	for _, a := range sortedActivations(m.activations) {
+	for _, a := range m.sortedActivations() {
 		if a.Rule.Name != rule {
 			continue
 		}

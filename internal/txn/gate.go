@@ -147,14 +147,22 @@ func (g *Gate) Acquire(ctx context.Context) error {
 	}
 }
 
-// TryAcquire acquires the gate only if it is free with no waiters ahead.
+// TryAcquire acquires the gate only if it is free with no waiters ahead
+// — the uncontended admission, without the clock reads and the context
+// an Acquire that may have to wait needs. It records the zero wait an
+// uncontended Acquire would, so the gate-wait histogram and the flight
+// recorder still see every admission.
 func (g *Gate) TryAcquire() bool {
 	g.mu.Lock()
-	defer g.mu.Unlock()
 	if g.held || len(g.q) > 0 {
+		g.mu.Unlock()
 		return false
 	}
 	g.held = true
+	met, rec := g.met, g.rec
+	g.mu.Unlock()
+	met.GateWaitSeconds.Observe(0)
+	rec.NoteGateWait(0)
 	return true
 }
 

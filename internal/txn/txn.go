@@ -315,13 +315,22 @@ func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond)
 
 // runCommitHooks invokes every check-phase callback in registration
 // order, converting a panic into an error so Commit's
-// rollback-and-finalize path runs regardless.
+// rollback-and-finalize path runs regardless. A runtime.Goexit inside a
+// hook (a t.FailNow in a rule action) cannot be converted: nothing
+// returns to Commit, so the rollback is done here, on the way out,
+// rather than leave the transaction open for the next caller to join.
 func (m *Manager) runCommitHooks() (err error) {
 	start := time.Now()
 	sp := m.tracer.Begin("txn", "check_phase")
+	returned := false
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("check phase panicked: %v", r)
+		} else if !returned {
+			m.met.CheckFailures.Inc()
+			// A failed rollback poisons the manager, which every later
+			// call reports; there is no caller to return it to.
+			_ = m.Rollback()
 		}
 		m.met.CheckSeconds.Observe(time.Since(start).Seconds())
 		sp.End()
@@ -330,11 +339,12 @@ func (m *Manager) runCommitHooks() (err error) {
 		if m.hooks[i].OnCommit == nil {
 			continue
 		}
-		if err := m.hooks[i].OnCommit(); err != nil {
-			return err
+		if err = m.hooks[i].OnCommit(); err != nil {
+			break
 		}
 	}
-	return nil
+	returned = true
+	return err
 }
 
 // runPersistHooks invokes every persist callback in registration order

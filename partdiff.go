@@ -128,10 +128,21 @@ const (
 	SyncNone    = wal.SyncNone
 )
 
-// Procedure is a foreign procedure callable from rule actions.
+// Procedure is a foreign procedure callable from rule actions. It runs
+// during the check phase of the committing transaction and may call
+// back into the DB: its Exec joins that transaction (and can force a
+// further check round), its Query sees the transaction's uncommitted
+// state. Actions may run on a stack the DB owns rather than on the
+// goroutine that called Exec or Commit — on the same thread, while that
+// call waits — so a procedure must not rely on being that goroutine. A
+// panic is contained and rolls the transaction back; runtime.Goexit
+// (and so testing.T.FailNow) ends the committing goroutine, after the
+// rollback.
 type Procedure = catalog.Procedure
 
 // ForeignFunc is a foreign function usable in procedural expressions.
+// Like a Procedure it may call back into the DB and may run on a stack
+// of the DB's own.
 type ForeignFunc = catalog.ForeignFunc
 
 // DB is an active database instance.
@@ -334,7 +345,9 @@ func WithCheckpointInterval(d time.Duration) Option {
 // rule actions re-fired while replaying the log dispatch through it.
 // Actions whose procedure is not registered at recovery time are
 // skipped during replay (their database updates are still recovered
-// from the log).
+// from the log). As with RegisterProcedure, the procedure may run on a
+// stack of the DB's own rather than the caller's goroutine; see
+// Procedure.
 func WithProcedure(name string, p Procedure) Option {
 	return func(c *config) { c.procs = append(c.procs, namedProc{name, p}) }
 }
