@@ -7,8 +7,11 @@
 //	                      e.g. \metrics propnet)
 //	\profile on|off       turn the propagation profiler on or off
 //	\profile report [k]   report the k most expensive differentials (default 10)
-//	\hybrid on|off        counting maintenance + cost-based hybrid propagation
-//	\hybrid report        per-view strategies, counts and recent decisions
+//	\hybrid on|off        switch between the hybrid monitor (on: per view and wave,
+//	                      differencing or recomputation by predicted cost) and
+//	                      the incremental one (off: differencing only)
+//	\hybrid report        per-view strategies, counts and recent strategy switches
+//	\counting on|off      counting maintenance of derivation counts
 //	\trace file.json      start a structured trace capture (Chrome trace_event)
 //	\trace stop           stop the capture and write the JSON file
 //	\explain              show why rules triggered in the last commit
@@ -65,7 +68,7 @@ import (
 )
 
 func main() {
-	modeFlag := flag.String("mode", "incremental", "monitoring mode: incremental, naive, hybrid")
+	modeFlag := flag.String("mode", "hybrid", "monitoring mode: hybrid (differencing or recomputation, chosen per view per wave), incremental (differencing only), naive")
 	file := flag.String("f", "", "execute a script file and exit")
 	lintFile := flag.String("lint", "", "statically analyze a script file and exit (actions are not run)")
 	monitor := flag.String("monitor", "", "serve live metrics over HTTP on this address (e.g. localhost:6060)")
@@ -258,14 +261,9 @@ func meta(db *partdiff.DB, cmd string) bool {
 		case len(words) < 2:
 			fmt.Printf("counting is %s, hybrid is %s; usage: \\hybrid on|off|report\n",
 				onOff(db.Counting()), onOff(db.Hybrid()))
-		case words[1] == "on":
-			db.SetCounting(true)
-			db.SetHybrid(true)
-			fmt.Println("counting maintenance + cost-based hybrid propagation on (\\hybrid report to inspect)")
-		case words[1] == "off":
-			db.SetCounting(false)
-			db.SetHybrid(false)
-			fmt.Println("counting maintenance + cost-based hybrid propagation off")
+		case words[1] == "on" || words[1] == "off":
+			db.SetHybrid(words[1] == "on")
+			fmt.Printf("monitoring mode: %s\n", db.Session().Rules().Mode())
 		case words[1] == "report":
 			if err := db.HybridReport(os.Stdout); err != nil {
 				fmt.Println("error:", err)
@@ -273,6 +271,12 @@ func meta(db *partdiff.DB, cmd string) bool {
 		default:
 			fmt.Println("usage: \\hybrid on|off|report")
 		}
+	case "\\counting":
+		words := strings.Fields(cmd)
+		if len(words) == 2 && (words[1] == "on" || words[1] == "off") {
+			db.SetCounting(words[1] == "on")
+		}
+		fmt.Printf("counting maintenance is %s; usage: \\counting on|off\n", onOff(db.Counting()))
 	case "\\flightrec":
 		words := strings.Fields(cmd)
 		rec := db.FlightRecorder()
@@ -446,7 +450,7 @@ func meta(db *partdiff.DB, cmd string) bool {
 			fmt.Println("subscribed (events print as they commit; \\subscribe stop to end)")
 		}
 	default:
-		fmt.Println("unknown meta command; try \\stats \\metrics \\profile \\hybrid \\flightrec \\trace \\explain \\net \\dot \\debug \\lint \\mode \\checkpoint \\save \\subscribe \\quit")
+		fmt.Println("unknown meta command; try \\stats \\metrics \\profile \\hybrid \\counting \\flightrec \\trace \\explain \\net \\dot \\debug \\lint \\mode \\checkpoint \\save \\subscribe \\quit")
 	}
 	return false
 }

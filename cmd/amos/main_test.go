@@ -82,7 +82,12 @@ func TestMetaCommands(t *testing.T) {
 		cmd  string
 		want string
 	}{
-		{"\\mode", "incremental"},
+		{"\\mode", "hybrid"},
+		{"\\hybrid off", "monitoring mode: incremental"},
+		{"\\hybrid on", "monitoring mode: hybrid"},
+		{"\\hybrid report", "maintenance: counting=false hybrid=true switches=0"},
+		{"\\counting on", "counting maintenance is on"},
+		{"\\counting off", "counting maintenance is off"},
 		{"\\stats", "propagations="},
 		{"\\explain", "rule low"},
 		{"\\net", "level 0"},

@@ -63,7 +63,7 @@ func run(args []string, stderr io.Writer, ready chan<- string) int {
 	fs.SetOutput(stderr)
 	addr := fs.String("addr", "localhost:8080", "listen address")
 	dataDir := fs.String("data", "", "durable data directory (recover on start, log every commit)")
-	modeFlag := fs.String("mode", "incremental", "monitoring mode: incremental, naive, hybrid")
+	modeFlag := fs.String("mode", "hybrid", "monitoring mode: hybrid (differencing or recomputation, chosen per view per wave), incremental (differencing only), naive")
 	syncFlag := fs.String("sync", "always", "WAL fsync policy with -data: always, group, none")
 	slow := fs.Duration("slow-commit", 0, "emit a system event for commits slower than this (0 disables)")
 	flightDir := fs.String("flightrec", "", "arm the flight recorder; diagnostics bundles land in this directory")

@@ -21,11 +21,12 @@ import (
 // never WHAT it derives — so monitoring with counting on and off must
 // be observably identical on every workload: same stored state, same
 // rule firings in the same order, same answers when the maintained
-// views are probed. The same holds with the hybrid chooser layered on
-// top, whatever per-wave strategies it picks. These tests drive the
-// property over seeded workloads skewed toward deletions and mixed
-// insert/delete transactions; `bench -exp hybrid` asserts it again on
-// the paper's benchmark database.
+// views are probed. The same holds under the default Hybrid monitor,
+// whatever per-wave strategies it picks (hybrid_matrix_test.go sweeps
+// the Δ sizes that make it pick both, counting on and off). These tests
+// drive the property over seeded workloads skewed toward deletions and
+// mixed insert/delete transactions; `bench -exp hybrid` asserts it again
+// on the paper's benchmark database.
 
 // countingSchema is a shared derived view with duplicate support: every
 // item's threshold is derived once per supplier, and all suppliers of
@@ -77,9 +78,11 @@ set supplies(:s6) = :i2;
 activate low();
 `
 
-// countingTwinDBs opens a counting/plain DB pair (optionally with the
-// hybrid chooser on the counting twin) with identical recording
-// procedures and print outputs.
+// countingTwinDBs opens a counting/plain DB pair with identical
+// recording procedures and print outputs. The plain twin is the
+// partial-differencing reference; the counting twin runs the default
+// Hybrid monitor when hybrid is set and partial differencing too when
+// not.
 func countingTwinDBs(t *testing.T, hybrid bool) (on, off *DB, firedOn, firedOff *[]string, outOn, outOff *bytes.Buffer) {
 	t.Helper()
 	mk := func(fired *[]string, opts ...Option) *DB {
@@ -94,11 +97,11 @@ func countingTwinDBs(t *testing.T, hybrid bool) (on, off *DB, firedOn, firedOff 
 	}
 	var fOn, fOff []string
 	onOpts := []Option{WithCounting()}
-	if hybrid {
-		onOpts = append(onOpts, WithHybridMode())
+	if !hybrid {
+		onOpts = append(onOpts, WithMode(Incremental))
 	}
 	on = mk(&fOn, onOpts...)
-	off = mk(&fOff)
+	off = mk(&fOff, WithMode(Incremental))
 	var bOn, bOff bytes.Buffer
 	on.SetOutput(&bOn)
 	off.SetOutput(&bOff)
@@ -221,25 +224,21 @@ func runCountingEquivalence(t *testing.T, hybrid bool, profile string, seed int6
 		assertCountingTwinsEqual(t, on, off, fOn, fOff, bOn, bOff)
 	}
 
-	// Vacuity gates. Without the chooser, every wave is counted: the
-	// twin must have folded derivation-count deltas and, on the
+	// Vacuity gates. Every wave here is counted — with the chooser on
+	// too, because waves over these tiny extents stay under its floor:
+	// the twin must have folded derivation-count deltas and, on the
 	// delete-skewed profile, detected at least one genuine retraction
-	// (support hit zero) without recomputing. With the chooser on it may
-	// legitimately recompute every wave (the extents here are tiny), so
-	// the gate is that it actually journaled per-wave decisions.
+	// (support hit zero) without recomputing.
+	if on.Hybrid() != hybrid {
+		t.Fatalf("counting twin: Hybrid() = %v, want %v", on.Hybrid(), hybrid)
+	}
 	reg := on.Observability().Registry
-	if hybrid {
-		if len(on.Session().Rules().Maintainer().Decisions()) == 0 {
-			t.Error("hybrid twin journaled no chooser decisions; the equivalence check is vacuous")
-		}
-	} else {
-		if n := reg.CounterValue("partdiff_maint_applied_total"); n == 0 {
-			t.Error("counting twin never applied a derivation-count delta; the equivalence check is vacuous")
-		}
-		if profile == "delete" {
-			if n := reg.CounterValue("partdiff_maint_retractions_total"); n == 0 {
-				t.Error("delete-heavy workload produced no counting-detected retraction")
-			}
+	if n := reg.CounterValue("partdiff_maint_applied_total"); n == 0 {
+		t.Error("counting twin never applied a derivation-count delta; the equivalence check is vacuous")
+	}
+	if profile == "delete" {
+		if n := reg.CounterValue("partdiff_maint_retractions_total"); n == 0 {
+			t.Error("delete-heavy workload produced no counting-detected retraction")
 		}
 	}
 	if n := off.Observability().Registry.CounterValue("partdiff_maint_applied_total"); n != 0 {
@@ -266,9 +265,8 @@ func TestCountingEquivalenceRandom(t *testing.T) {
 	}
 }
 
-// TestCountingHybridEquivalenceRandom layers the cost-based chooser on
-// the counting twin: equivalence must hold no matter which strategy it
-// picks wave by wave.
+// TestCountingHybridEquivalenceRandom runs the counting twin under the
+// default Hybrid monitor against the partial-differencing reference.
 func TestCountingHybridEquivalenceRandom(t *testing.T) {
 	seeds := []int64{1, 2, 3}
 	if testing.Short() {
@@ -282,8 +280,8 @@ func TestCountingHybridEquivalenceRandom(t *testing.T) {
 }
 
 // TestCountingEquivalenceScripts replays every shipped example script
-// on a counting+hybrid and a plain database and compares everything
-// observable.
+// on a counting database under the default monitor and on a plain
+// partial-differencing one, and compares everything observable.
 func TestCountingEquivalenceScripts(t *testing.T) {
 	scripts, err := filepath.Glob("examples/scripts/*.amosql")
 	if err != nil {
@@ -309,8 +307,8 @@ func TestCountingEquivalenceScripts(t *testing.T) {
 				return db
 			}
 			var fOn, fOff []string
-			on := mk(&fOn, WithCounting(), WithHybridMode())
-			off := mk(&fOff)
+			on := mk(&fOn, WithCounting())
+			off := mk(&fOff, WithMode(Incremental))
 			var bOn, bOff bytes.Buffer
 			on.SetOutput(&bOn)
 			off.SetOutput(&bOff)
@@ -338,45 +336,113 @@ func TestCountingEquivalenceScripts(t *testing.T) {
 	}
 }
 
-// TestFaultSweepHybrid re-runs the fault-sweep discipline with counting
-// and the hybrid chooser active: a fault at every operation index must
-// surface, roll back cleanly (including the derivation-count journal),
-// and leave a survivor that replays to the same state and firings as a
+// sweepBulk is the size of the population TestFaultSweepHybrid adds to
+// countingSchema: enough that a transaction updating all of it is worth
+// recomputing, few enough to sweep a fault over every operation of it.
+const (
+	sweepBulk   = 10
+	sweepWarmup = 6
+)
+
+// bulkPopulation creates sweepBulk more items, three suppliers each.
+func bulkPopulation() string {
+	var b bytes.Buffer
+	for i := 0; i < sweepBulk; i++ {
+		fmt.Fprintf(&b, "create item instances :b%d;\nset quantity(:b%d) = 100;\n", i, i)
+		for _, s := range "tuv" {
+			fmt.Fprintf(&b, "create supplier instances :%c%d;\nset supplies(:%c%d) = :b%d;\n", s, i, s, i, i)
+		}
+	}
+	return b.String()
+}
+
+// bulkUpdate rewrites three of the relations the shared threshold view
+// reads, for every bulk item, and drops a quarter of the items below
+// their new threshold — a different quarter, and different values, each
+// round.
+func bulkUpdate(round int) []string {
+	var script []string
+	for i := 0; i < sweepBulk; i++ {
+		q := 100 + round
+		if i%4 == round%4 {
+			q = 1
+		}
+		script = append(script,
+			fmt.Sprintf("set consume_freq(:b%d) = %d;", i, 2+round%2),
+			fmt.Sprintf("set min_stock(:b%d) = %d;", i, 4+round),
+			fmt.Sprintf("set quantity(:b%d) = %d;", i, q))
+		for _, s := range "tuv" {
+			script = append(script, fmt.Sprintf("set delivery_time(:b%d, :%c%d) = %d;", i, s, i, 3+round%3))
+		}
+	}
+	return script
+}
+
+// TestFaultSweepHybrid re-runs the fault-sweep discipline on the default
+// (Hybrid) monitor with counting on, over the two waves that are its
+// own: one the chooser recomputes (the derivation counts are bypassed
+// and marked stale, journaled) and the small one after it (under the
+// floor, so differentiated: the stale counts reseed inside the swept
+// transaction). A fault at every operation index of either must surface,
+// roll back cleanly — counts, stale marks and reseeds included — and
+// leave a survivor that replays to the same state and firings as a
 // fresh DB.
 func TestFaultSweepHybrid(t *testing.T) {
-	seeds := []int64{1, 2}
 	stride := 1
 	if testing.Short() {
-		seeds = seeds[:1]
-		stride = 3
+		stride = 7
 	}
+	// mkDB returns a database six massive transactions old: the first few
+	// show the views what a seed tuple costs them, the next two are
+	// predicted cheaper to recompute, and from then on they are.
 	mkDB := func(fired *[]string) *DB {
-		db := Open(WithCounting(), WithHybridMode())
+		db := Open(WithCounting())
 		db.RegisterProcedure("record", func(args []Value) error {
 			*fired = append(*fired, fmt.Sprintf("%v", args[0]))
 			return nil
 		})
 		db.MustExec(countingSchema)
+		db.MustExec(bulkPopulation())
+		for round := 0; round < sweepWarmup; round++ {
+			if err := runScript(db, bulkUpdate(round)); err != nil {
+				t.Fatalf("warm-up round %d: %v", round, err)
+			}
+		}
 		return db
 	}
-	for _, seed := range seeds {
-		seed := seed
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			script := genCountingScript(rand.New(rand.NewSource(seed)), 8, "delete", initialSupplies())
-
+	for _, tc := range []struct {
+		name       string
+		script     []string
+		recomputed bool
+	}{
+		{"recomputed", bulkUpdate(sweepWarmup), true},
+		{"reseeding", genCountingScript(rand.New(rand.NewSource(1)), 8, "delete", initialSupplies()), false},
+	} {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
 			var baseFired []string
 			base := mkDB(&baseFired)
 			if !base.Counting() || !base.Hybrid() {
 				t.Fatal("sweep DB lost its maintenance options")
 			}
+			mnt := base.Session().Rules().Maintainer()
+			if mnt.StrategyLabel("threshold") != "recomp" {
+				t.Fatalf("warm-up left the shared view on %q; the sweep is vacuous\n%v",
+					mnt.StrategyLabel("threshold"), mnt.Decisions())
+			}
+			reg := base.Observability().Registry
+			recomp0, reseeds0 := base.Stats().NaiveRecomputations, reg.CounterValue("partdiff_maint_reseeds_total")
 			inj := faultinject.New()
 			base.Session().SetInjector(inj)
 			baseFired = nil
-			if err := runScript(base, script); err != nil {
+			if err := runScript(base, tc.script); err != nil {
 				t.Fatalf("clean run failed: %v", err)
 			}
-			if len(base.Session().Rules().Maintainer().Decisions()) == 0 {
-				t.Fatal("sweep workload drove no chooser decisions; the sweep is vacuous")
+			if got := base.Stats().NaiveRecomputations > recomp0; got != tc.recomputed {
+				t.Fatalf("swept wave recomputed = %v, want %v; the sweep is vacuous", got, tc.recomputed)
+			}
+			if !tc.recomputed && reg.CounterValue("partdiff_maint_reseeds_total") == reseeds0 {
+				t.Fatal("swept wave reseeded no stale counts; the sweep is vacuous")
 			}
 			baseState := base.Session().Store().Snapshot()
 			ops := inj.Ops()
@@ -397,7 +463,7 @@ func TestFaultSweepHybrid(t *testing.T) {
 				fired = nil
 				inj.ArmIndex(idx, kind)
 
-				err := runScript(db, script)
+				err := runScript(db, tc.script)
 				if err == nil {
 					t.Errorf("op %d (%v): injected fault did not surface", idx, kind)
 					continue
@@ -413,7 +479,7 @@ func TestFaultSweepHybrid(t *testing.T) {
 					t.Errorf("op %d (%v): invariants after rollback: %v", idx, kind, ierr)
 				}
 				fired = nil
-				if rerr := runScript(db, script); rerr != nil {
+				if rerr := runScript(db, tc.script); rerr != nil {
 					t.Errorf("op %d (%v): survivor replay failed: %v", idx, kind, rerr)
 					continue
 				}
@@ -423,14 +489,17 @@ func TestFaultSweepHybrid(t *testing.T) {
 				if got := db.Session().Store().Snapshot(); !reflect.DeepEqual(got, baseState) {
 					t.Errorf("op %d (%v): survivor state diverges from baseline", idx, kind)
 				}
+				if ierr := db.CheckInvariants(); ierr != nil {
+					t.Errorf("op %d (%v): invariants after survivor replay: %v", idx, kind, ierr)
+				}
 			}
 		})
 	}
 }
 
 // TestRuntimeToggleThenMutate pins the deadlock fix for runtime
-// maintenance toggles. SetCounting/SetHybrid (like SetStaticPruning and
-// the other network-invalidating setters) mark the propagation network
+// maintenance toggles. SetCounting (like SetStaticPruning and the other
+// network-invalidating setters) marks the propagation network
 // for rebuild, and the next physical update event arrives with the
 // store's write lock held — where a rebuild would re-run the Δ-effect
 // analysis, re-read store capabilities, and self-deadlock on that very

@@ -103,7 +103,8 @@ type Session struct {
 	recovering atomic.Bool
 	inj        *faultinject.Injector
 	// walLive mirrors wal for gate-free readers (the Ready health
-	// probe); it is published only after recovery completes.
+	// probe, SetIfaceVar deciding whether it has anything to log); it is
+	// published only after recovery completes.
 	walLive atomic.Pointer[wal.Log]
 	// Per-transaction capture for the commit record, cleared by the wal
 	// hook's OnEnd: objects created/deleted and interface variables
@@ -238,10 +239,17 @@ func (s *Session) IfaceVar(name string) (types.Value, bool) {
 // SetIfaceVar binds a session interface variable. With a data directory
 // attached, a binding made outside a transaction is logged immediately
 // (RecIface); one made inside a transaction rides in the commit record.
-// Logging rides the writer gate; if admission fails (deadline expiry on
-// a stuck session) the binding still lands in memory — the historical
-// best-effort contract — but is not logged.
+// Only the logging needs the writer gate — it places the binding in the
+// log's record order — so an in-memory session binds under the map's own
+// lock and never asks who holds the gate (a rule action calling SetVar
+// would pay a stack walk for the answer). If admission fails (deadline
+// expiry on a stuck session) the binding still lands in memory — the
+// historical best-effort contract — but is not logged.
 func (s *Session) SetIfaceVar(name string, v types.Value) {
+	if s.walLive.Load() == nil {
+		s.setIface(name, v)
+		return
+	}
 	if err := s.enterCtx(context.Background()); err != nil {
 		s.setIface(name, v)
 		return
@@ -249,9 +257,6 @@ func (s *Session) SetIfaceVar(name string, v types.Value) {
 	var err error
 	defer s.leave(&err)
 	s.setIface(name, v)
-	if !s.walOn() {
-		return
-	}
 	if s.txns.InTransaction() {
 		s.walBinds = append(s.walBinds, wal.Bind{Name: name, Value: v})
 		return
@@ -300,22 +305,21 @@ func (s *Session) SetCounting(on bool) {
 // Counting reports whether counting maintenance is on.
 func (s *Session) Counting() bool { return s.mgr.Counting() }
 
-// SetHybrid enables or disables cost-based hybrid propagation: a
-// per-view, per-wave chooser between incremental partial differencing
-// and naive recomputation, driven by observed scan-cost EWMAs with
-// hysteresis (§8). The network is rebuilt on change.
+// SetHybrid switches between the Hybrid monitor (on: per view and per
+// wave, partial differencing or recomputation, whichever the Δ sizes
+// predict is cheaper — §8) and the Incremental one (off).
 func (s *Session) SetHybrid(on bool) {
 	s.schemaMu.Lock()
 	defer s.schemaMu.Unlock()
 	s.mgr.SetHybrid(on)
 }
 
-// Hybrid reports whether cost-based hybrid propagation is on.
+// Hybrid reports whether the monitor is the Hybrid one.
 func (s *Session) Hybrid() bool { return s.mgr.Hybrid() }
 
 // HybridReport writes the maintenance subsystem's state: per-view
-// strategies, count-store sizes, cost EWMAs and the recent decision
-// journal (the shell's \hybrid report).
+// strategies, count-store sizes, cost EWMAs and the journal of recent
+// strategy switches (the shell's \hybrid report).
 func (s *Session) HybridReport(w io.Writer) error {
 	return s.mgr.HybridReport(w)
 }

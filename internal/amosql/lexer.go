@@ -104,7 +104,7 @@ func (l *lexer) next() (token, error) {
 		}
 	}
 	l.pos++
-	return token{kind: tokSymbol, text: string(c), pos: start, line: startLine}, nil
+	return token{kind: tokSymbol, text: l.src[start:l.pos], pos: start, line: startLine}, nil
 }
 
 func (l *lexer) skipSpaceAndComments() {
@@ -204,20 +204,4 @@ func (l *lexer) stringLit(start, startLine int) (token, error) {
 		l.pos++
 	}
 	return token{}, fmt.Errorf("line %d: unterminated string literal", startLine)
-}
-
-// tokenize returns all tokens of src.
-func tokenize(src string) ([]token, error) {
-	l := newLexer(src)
-	var out []token
-	for {
-		t, err := l.next()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, t)
-		if t.kind == tokEOF {
-			return out, nil
-		}
-	}
 }

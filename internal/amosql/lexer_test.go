@@ -2,6 +2,23 @@ package amosql
 
 import "testing"
 
+// tokenize drains the lexer: all tokens of src, the end-of-input token
+// last. (The parser pulls them one at a time.)
+func tokenize(src string) ([]token, error) {
+	l := newLexer(src)
+	var out []token
+	for {
+		t, err := l.next()
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, t)
+		if t.kind == tokEOF {
+			return out, nil
+		}
+	}
+}
+
 func TestTokenizeBasics(t *testing.T) {
 	toks, err := tokenize(`create function f(item i) -> integer;`)
 	if err != nil {

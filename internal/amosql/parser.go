@@ -8,10 +8,34 @@ import (
 	"partdiff/internal/types"
 )
 
-// parser is a recursive-descent parser over the token stream.
+// parser is a recursive-descent parser pulling tokens from the lexer as
+// it goes. The grammar is LL(1): tok is the one token of lookahead, and
+// prevPos the offset of the token consumed before it (the statement
+// sources end there).
 type parser struct {
-	toks []token
-	pos  int
+	lex     *lexer
+	tok     token
+	prevPos int
+	// lexErr is the lexer's first failure. The token stream ends there
+	// (tok reads as end of input), and every error the parser then
+	// reports is this one.
+	lexErr error
+}
+
+func newParser(src string) *parser {
+	p := &parser{lex: newLexer(src)}
+	p.next()
+	return p
+}
+
+// next reads the following token into tok.
+func (p *parser) next() {
+	t, err := p.lex.next()
+	if err != nil {
+		p.lexErr = err
+		t = token{kind: tokEOF, pos: p.lex.pos, line: p.lex.line}
+	}
+	p.tok = t
 }
 
 // Parse parses a sequence of semicolon-terminated statements.
@@ -22,13 +46,11 @@ func Parse(src string) ([]Stmt, error) {
 
 // ParseWithSources parses like Parse and additionally returns, for each
 // statement, its exact source text (semicolon included) — the session
-// journals schema statements verbatim for snapshot/WAL recovery.
+// journals schema statements verbatim for snapshot/WAL recovery. The
+// whole of src is parsed before anything is returned: one malformed
+// statement anywhere fails them all.
 func ParseWithSources(src string) ([]Stmt, []string, error) {
-	toks, err := tokenize(src)
-	if err != nil {
-		return nil, nil, err
-	}
-	p := &parser{toks: toks}
+	p := newParser(src)
 	var out []Stmt
 	var srcs []string
 	for !p.atEOF() {
@@ -44,20 +66,18 @@ func ParseWithSources(src string) ([]Stmt, []string, error) {
 		if err := p.expectSym(";"); err != nil {
 			return nil, nil, err
 		}
-		semi := p.toks[p.pos-1] // the semicolon just consumed
 		out = append(out, s)
-		srcs = append(srcs, src[start:semi.pos+1])
+		srcs = append(srcs, src[start:p.prevPos+1]) // through the semicolon just consumed
+	}
+	if p.lexErr != nil {
+		return nil, nil, p.lexErr
 	}
 	return out, srcs, nil
 }
 
 // ParseOne parses exactly one statement (trailing semicolon optional).
 func ParseOne(src string) (Stmt, error) {
-	toks, err := tokenize(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{toks: toks}
+	p := newParser(src)
 	s, err := p.statement()
 	if err != nil {
 		return nil, err
@@ -68,22 +88,29 @@ func ParseOne(src string) (Stmt, error) {
 	if !p.atEOF() {
 		return nil, p.errf("unexpected %s after statement", p.peek())
 	}
+	if p.lexErr != nil {
+		return nil, p.lexErr
+	}
 	return s, nil
 }
 
-func (p *parser) peek() token { return p.toks[p.pos] }
+func (p *parser) peek() token { return p.tok }
 
-func (p *parser) atEOF() bool { return p.peek().kind == tokEOF }
+func (p *parser) atEOF() bool { return p.tok.kind == tokEOF }
 
 func (p *parser) advance() token {
-	t := p.toks[p.pos]
+	t := p.tok
 	if t.kind != tokEOF {
-		p.pos++
+		p.prevPos = t.pos
+		p.next()
 	}
 	return t
 }
 
 func (p *parser) errf(format string, args ...any) error {
+	if p.lexErr != nil {
+		return p.lexErr
+	}
 	return fmt.Errorf("line %d: %s", p.peek().line, fmt.Sprintf(format, args...))
 }
 

@@ -244,6 +244,33 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestParseLexErrorsSurface: the parser pulls tokens as it goes, so a
+// lexical error is met wherever the parser has got to — and is reported
+// as itself, not as the "found end of input" it looks like from inside
+// the grammar.
+func TestParseLexErrorsSurface(t *testing.T) {
+	for _, src := range []string{
+		`select 'abc;`,
+		`select 1; select 'abc;`,
+		`select 1 + 'abc;`,
+		`set f(1) = 'abc`,
+		`create function f(item) -> integer; select 'x`,
+	} {
+		_, err := Parse(src)
+		if err == nil || !strings.Contains(err.Error(), "unterminated string literal") {
+			t.Errorf("Parse(%q) = %v, want the unterminated-string error", src, err)
+		}
+	}
+	if _, err := ParseOne(`select 'abc`); err == nil || !strings.Contains(err.Error(), "unterminated") {
+		t.Errorf("ParseOne = %v, want the unterminated-string error", err)
+	}
+	// Statement sources still end at their own semicolon.
+	_, srcs, err := ParseWithSources("create type a ;\n\n create type b;;")
+	if err != nil || len(srcs) != 2 || srcs[0] != "create type a ;" || srcs[1] != "create type b;" {
+		t.Errorf("sources = %q, %v", srcs, err)
+	}
+}
+
 func TestParseStringAndBoolLiterals(t *testing.T) {
 	s := mustParseOne(t, `select 'abc', true, false;`).(SelectStmt)
 	if len(s.Query.Exprs) != 3 {

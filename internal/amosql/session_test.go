@@ -417,6 +417,24 @@ func TestQueryRejectsNonSelect(t *testing.T) {
 	}
 }
 
+// TestMalformedScriptRunsNothing: the whole script is parsed before its
+// first statement executes, so an error in the last statement — a
+// syntax error or a lexical one — leaves no trace of the first.
+func TestMalformedScriptRunsNothing(t *testing.T) {
+	for _, tail := range []string{`frobnicate;`, `set quantity(:a) = 'oops;`} {
+		s := NewSession(rules.Incremental)
+		if _, err := s.Exec(`create type item; create function quantity(item) -> integer; ` + tail); err == nil {
+			t.Fatalf("script ending in %q accepted", tail)
+		}
+		if _, ok := s.Catalog().Type("item"); ok {
+			t.Errorf("script ending in %q ran its first statement", tail)
+		}
+		if _, err := s.Exec(`create type item;`); err != nil {
+			t.Errorf("session unusable after a rejected script: %v", err)
+		}
+	}
+}
+
 func TestUndefinedIfaceVariable(t *testing.T) {
 	s := NewSession(rules.Incremental)
 	s.MustExec(`create type item; create function quantity(item) -> integer;`)

@@ -202,25 +202,6 @@ func (e *Evaluator) EvalDefBag(def *objectlog.Def, old bool, emit func(types.Tup
 	return nil
 }
 
-// ExtentEstimate estimates a predicate's extent cardinality without
-// evaluating it: the observed EWMA cardinality when the adaptive-stats
-// table has seen a full enumeration, the structural derivedPrior
-// otherwise, and the live source length for base relations. The hybrid
-// propagation chooser uses it as the cold-start proxy for the cost of a
-// full recomputation.
-func (e *Evaluator) ExtentEstimate(pred string) int {
-	if e.env.Program().IsDerived(pred) {
-		if c, ok := e.stats.PredCard(pred); ok {
-			return c
-		}
-		return e.derivedPrior(pred)
-	}
-	if src, err := e.env.Source(pred, objectlog.DeltaNone, false); err == nil {
-		return src.Len()
-	}
-	return 10000
-}
-
 // EvalPred computes the full extent of a predicate (base or derived)
 // in the new or old state — naive evaluation.
 func (e *Evaluator) EvalPred(pred string, old bool) (*types.Set, error) {

@@ -69,6 +69,15 @@ type RolledBack struct {
 	// minusIdx is the lazy per-column index over Δ−S: column value (as
 	// a one-column tuple) → the Δ− tuples holding it; nil until built.
 	minusIdx []*types.Map[[]types.Tuple]
+
+	// The state of the Lookup in progress, kept here and not in a closure
+	// so that a probe allocates nothing: keep is the callback handed to
+	// Base.Lookup (r.keepOld, bound once), yield the caller's callback and
+	// stopped whether it asked to stop. A Lookup nested inside yield (a
+	// self-join) saves and restores both.
+	keep    func(types.Tuple) bool
+	yield   func(types.Tuple) bool
+	stopped bool
 }
 
 // minusIndexThreshold is the Δ− cardinality above which Lookup builds
@@ -113,7 +122,9 @@ func (r *RolledBack) lookupMinus(col int, v types.Value, fn func(types.Tuple) bo
 
 // NewRolledBack wraps a base source with its Δ-set.
 func NewRolledBack(base storage.Source, d *delta.Set) *RolledBack {
-	return &RolledBack{Base: base, Delta: d}
+	r := &RolledBack{Base: base, Delta: d}
+	r.keep = r.keepOld
+	return r
 }
 
 // Arity returns the column count.
@@ -150,21 +161,31 @@ func (r *RolledBack) Each(fn func(types.Tuple) bool) {
 
 // Lookup iterates old-state tuples with column col equal to v.
 func (r *RolledBack) Lookup(col int, v types.Value, fn func(types.Tuple) bool) {
-	stopped := false
-	r.Base.Lookup(col, v, func(t types.Tuple) bool {
-		if r.Delta != nil && r.Delta.Plus().Contains(t) {
-			return true
-		}
-		if !fn(t) {
-			stopped = true
-			return false
-		}
-		return true
-	})
-	if stopped || r.Delta == nil {
+	if r.Delta == nil {
+		r.Base.Lookup(col, v, fn)
 		return
 	}
-	r.lookupMinus(col, v, fn)
+	outerYield, outerStopped := r.yield, r.stopped
+	r.yield, r.stopped = fn, false
+	r.Base.Lookup(col, v, r.keep)
+	stopped := r.stopped
+	r.yield, r.stopped = outerYield, outerStopped
+	if !stopped {
+		r.lookupMinus(col, v, fn)
+	}
+}
+
+// keepOld passes a live tuple on to the Lookup in progress unless the
+// transaction inserted it.
+func (r *RolledBack) keepOld(t types.Tuple) bool {
+	if r.Delta.Plus().Contains(t) {
+		return true // inserted during the transaction: not in old state
+	}
+	if !r.yield(t) {
+		r.stopped = true
+		return false
+	}
+	return true
 }
 
 // Contains reports old-state membership without materialization:

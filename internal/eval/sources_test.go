@@ -120,3 +120,52 @@ func TestRolledBackContainsDoesNotAllocate(t *testing.T) {
 		t.Errorf("RolledBack.Contains: %v allocs/op, want 0", got)
 	}
 }
+
+// Allocation gate: an old-state index probe filters the live relation's
+// hits against Δ+ and adds Δ−'s — scanned below minusIndexThreshold,
+// through the lazy column index above it — without allocating, and a
+// probe nested in another's callback (a self-join) sees its own
+// callback and stop flag.
+func TestRolledBackLookupDoesNotAllocate(t *testing.T) {
+	for _, gone := range []int64{minusIndexThreshold - 3, 4 * minusIndexThreshold} {
+		st := storage.NewStore()
+		st.CreateRelation("r", 2, nil)
+		rel, _ := st.Relation("r")
+		d := delta.New()
+		for i := int64(0); i < 200; i++ {
+			st.Insert("r", types.Tuple{types.Int(i % 50), types.Int(i)})
+		}
+		for i := int64(0); i < 20; i++ {
+			d.Insert(types.Tuple{types.Int(i % 50), types.Int(i)}) // new this transaction
+		}
+		for i := int64(0); i < gone; i++ {
+			d.Delete(types.Tuple{types.Int(i % 50), types.Int(1000 + i)}) // gone this transaction
+		}
+		rb := NewRolledBack(rel, d)
+		// Key 1 holds live (1,1) (51) (101) (151), of which (1,1) is new,
+		// and the deleted (1,1001): four old-state tuples.
+		var hits, inner int
+		count := func(types.Tuple) bool { hits++; return true }
+		first := func(types.Tuple) bool { inner++; return false }
+		nested := func(types.Tuple) bool {
+			rb.Lookup(0, types.Int(2), first)
+			hits++
+			return true
+		}
+		rb.Lookup(0, types.Int(1), count) // builds the Δ− index where one is due
+		if hits != 4 {
+			t.Fatalf("Δ− of %d: key 1 has %d old-state tuples, want 4", gone, hits)
+		}
+		got := testing.AllocsPerRun(200, func() {
+			hits, inner = 0, 0
+			rb.Lookup(0, types.Float(1), count)
+			rb.Lookup(0, types.Int(1), nested)
+			if hits != 8 || inner != 4 {
+				t.Fatalf("Δ− of %d: %d hits, %d nested hits; want 8 and 4", gone, hits, inner)
+			}
+		})
+		if got != 0 {
+			t.Errorf("Δ− of %d: RolledBack.Lookup: %v allocs/op, want 0", gone, got)
+		}
+	}
+}

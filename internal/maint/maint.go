@@ -15,13 +15,14 @@
 //     because the maintained counts make the node's Δ exact by
 //     construction.
 //
-//   - A cost-based strategy chooser (the paper's §8 Hybrid mode made
-//     real): per view and per propagation wave it decides between
-//     incremental partial-differencing propagation and naive full
-//     recomputation of the view (old vs new state diff), from observed
-//     per-view cost EWMAs (tuples scanned per seed tuple incrementally,
-//     tuples scanned per recomputation) seeded by the adaptive-stats
-//     extent estimate, with hysteresis so the choice doesn't flap.
+//   - The cost-based strategy chooser (the paper's §8 Hybrid made real;
+//     chooser.go): per view and per propagation wave the network decides
+//     between running the view's partial differentials and recomputing
+//     it (old vs new state diff), from the wave's Δ sizes and the scan
+//     costs it has observed on each path, with a floor under which a
+//     wave is always differentiated and hysteresis above it. The state
+//     sits on the network's nodes; this package keeps it alive across
+//     network rebuilds and records the switches.
 //
 // Counts are transactional: every mutation is journaled (first touch
 // per transaction) and rolled back exactly on abort. Crash recovery
@@ -67,21 +68,6 @@ type Config struct {
 	// Counting enables derivation-count maintenance for differenced
 	// views.
 	Counting bool
-	// Hybrid enables the cost-based per-wave strategy chooser; off, every
-	// differenced view always propagates incrementally.
-	Hybrid bool
-	// HysteresisRuns is how many consecutive waves must favor the
-	// alternative strategy before the chooser flips (default 2; the
-	// first decision for a view is taken cold, without hysteresis).
-	HysteresisRuns int
-	// HysteresisFactor is the cost advantage the alternative must show,
-	// as a multiplier, to count as favoring a flip (default 2).
-	HysteresisFactor float64
-}
-
-// DefaultConfig enables counting and hybrid with default hysteresis.
-func DefaultConfig() Config {
-	return Config{Counting: true, Hybrid: true, HysteresisRuns: 2, HysteresisFactor: 2}
 }
 
 // Bag is a wave's signed derivation-count changes, accumulated per
@@ -100,38 +86,8 @@ type viewState struct {
 	seeded bool // counts reflect some consistent state
 	dirty  bool // counts are stale (a recompute wave bypassed them)
 
-	// Chooser state.
-	decided     bool
-	cur         Strategy
-	pending     Strategy
-	pendingRuns int
-
-	// Cost EWMAs (α as in eval.Stats): tuples scanned per seed tuple on
-	// incremental waves, tuples scanned per full recomputation.
-	incrPerSeed float64
-	incrSeen    bool
-	recompScan  float64
-	recompSeen  bool
+	chooser Chooser
 }
-
-// ewmaAlpha matches eval.Stats: recent waves dominate without one
-// anomalous wave wiping the history.
-const ewmaAlpha = 0.3
-
-func ewma(old, observed float64, seen bool) float64 {
-	if !seen {
-		return observed
-	}
-	return old + ewmaAlpha*(observed-old)
-}
-
-// Cold-start cost constants: with no observations yet, an incremental
-// wave is assumed to scan defaultIncrPerSeed tuples per seed tuple and
-// a recomputation recompFactor tuples per estimated extent tuple.
-const (
-	defaultIncrPerSeed = 16
-	recompFactor       = 4
-)
 
 // undoKind discriminates journal entries.
 type undoKind uint8
@@ -157,18 +113,18 @@ type undoEntry struct {
 	oldDirty  bool
 }
 
-// Decision is one journaled chooser decision.
+// Decision is one journaled strategy switch: the strategy the view
+// moved to, and the wave's Δ size and predicted costs that moved it.
 type Decision struct {
 	Seq        uint64
 	View       string
 	Strategy   Strategy
-	Switched   bool
 	SeedTotal  int
 	IncrCost   float64
 	RecompCost float64
 }
 
-// decisionRing bounds the decision journal.
+// decisionRing bounds the switch journal.
 const decisionRing = 128
 
 // Maintainer owns the count stores and the strategy chooser for one
@@ -180,10 +136,10 @@ const decisionRing = 128
 // and internally locked: invariant checks and reports may run from a
 // monitoring goroutine while a check phase is propagating.
 type Maintainer struct {
-	cfg Config
-	met *Metrics
-	bus *obs.Bus
-	rec *obs.Recorder
+	counting bool
+	met      *Metrics
+	bus      *obs.Bus
+	rec      *obs.Recorder
 
 	mu    sync.Mutex
 	views map[string]*viewState
@@ -194,76 +150,53 @@ type Maintainer struct {
 	touched      map[*viewState]*types.Set
 	stateTouched map[*viewState]bool
 
-	decSeq    uint64
-	decisions []Decision // ring, most recent last
+	decisions []Decision // ring of switches, most recent last
 	switches  uint64
 }
 
-// New returns a maintainer with the given configuration (zero
-// hysteresis fields are defaulted).
+// New returns a maintainer with the given configuration.
 func New(cfg Config) *Maintainer {
-	if cfg.HysteresisRuns <= 0 {
-		cfg.HysteresisRuns = 2
-	}
-	if cfg.HysteresisFactor <= 1 {
-		cfg.HysteresisFactor = 2
-	}
 	return &Maintainer{
-		cfg:   cfg,
-		met:   &Metrics{},
-		views: map[string]*viewState{},
+		counting: cfg.Counting,
+		met:      &Metrics{},
+		views:    map[string]*viewState{},
 	}
 }
 
 // Counting reports whether derivation-count maintenance is enabled.
-func (m *Maintainer) Counting() bool { return m != nil && m.cfg.Counting }
+func (m *Maintainer) Counting() bool { return m != nil && m.counting }
 
-// Hybrid reports whether the cost-based strategy chooser is enabled.
-func (m *Maintainer) Hybrid() bool { return m != nil && m.cfg.Hybrid }
+// view returns the view's record, creating it on first use. Caller
+// holds m.mu.
+func (m *Maintainer) view(name string) *viewState {
+	vs, ok := m.views[name]
+	if !ok {
+		vs = &viewState{name: name}
+		vs.chooser.m, vs.chooser.view = m, name
+		m.views[name] = vs
+	}
+	return vs
+}
 
 // SetCounting toggles derivation-count maintenance. Turning it on
-// invalidates every view's counts (journaled): while it was off the
-// network propagated without maintaining them, so whatever they say is
-// stale — each view reseeds lazily on its next counted wave.
+// invalidates every view's counts: while it was off the network
+// propagated without maintaining them, so whatever they say is stale —
+// each view reseeds lazily on its next counted wave. The invalidation
+// is not journaled: no abort makes counts that missed committed
+// transactions valid again, and a reseed is right in any state.
 func (m *Maintainer) SetCounting(on bool) {
 	if m == nil {
 		return
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.cfg.Counting == on {
+	if m.counting == on {
 		return
 	}
-	m.cfg.Counting = on
+	m.counting = on
 	if on {
 		for _, vs := range m.views {
-			if vs.seeded {
-				m.recordStateUndo(vs)
-				vs.seeded = false
-			}
-		}
-	}
-}
-
-// SetHybrid toggles the cost-based strategy chooser. Turning it off
-// resets every view's decision back to incremental (the only strategy
-// the scheduler will use); cost EWMAs are kept, so a later re-enable
-// starts warm.
-func (m *Maintainer) SetHybrid(on bool) {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.cfg.Hybrid == on {
-		return
-	}
-	m.cfg.Hybrid = on
-	if !on {
-		for _, vs := range m.views {
-			vs.decided = false
-			vs.cur = Incremental
-			vs.pendingRuns = 0
+			vs.seeded = false
 		}
 	}
 }
@@ -296,12 +229,12 @@ func (m *Maintainer) Register(view, canon string) {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	vs, ok := m.views[view]
-	if !ok {
-		m.views[view] = &viewState{name: view, canon: canon}
+	vs := m.view(view)
+	if vs.canon == canon {
 		return
 	}
-	if vs.canon == canon {
+	if vs.canon == "" {
+		vs.canon = canon // first registration: no counts to drop
 		return
 	}
 	m.recordStateUndo(vs)

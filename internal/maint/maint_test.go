@@ -239,75 +239,115 @@ func TestSetCountingInvalidatesSeeds(t *testing.T) {
 	}
 }
 
-// TestChooserFirstDecision: the first decision for a view is taken
-// without hysteresis, and counts as a switch exactly when it moves the
-// view off the Incremental default.
-func TestChooserFirstDecision(t *testing.T) {
-	m := New(Config{Hybrid: true})
-	m.Register("tiny", "c")
-	m.Register("big", "c")
+// cold returns a Choose argument predicting n scanned tuples for a
+// recomputation nobody has observed yet.
+func cold(n int) func() int { return func() int { return n } }
 
-	// Tiny extent, massive seed: recompute wins cold (extent×4 vs
-	// seed×16) and the first decision is journaled as a switch.
-	if got := m.Choose("tiny", 100, 1); got != Recompute {
-		t.Fatalf("Choose(tiny) = %v, want recompute", got)
+// TestChooserNeverGuessesDifferencing: a view that has not been
+// differentiated yet has no differencing cost to weigh, so its wave is
+// differentiated whatever its size — the chooser moves on observed
+// costs only.
+func TestChooserNeverGuessesDifferencing(t *testing.T) {
+	m := New(Config{})
+	c := m.Chooser("v")
+	never := func() int { t.Error("a never-differentiated view was weighed"); return 0 }
+	if got := c.Choose(1000000, never); got != Incremental {
+		t.Fatalf("first wave = %v, want incremental", got)
 	}
-	if m.Switches() != 1 {
-		t.Errorf("switches = %d after first recompute decision, want 1", m.Switches())
-	}
-	// Large extent, small seed: incremental wins; staying on the
-	// default is not a switch.
-	if got := m.Choose("big", 1, 1000); got != Incremental {
-		t.Fatalf("Choose(big) = %v, want incremental", got)
-	}
-	if m.Switches() != 1 {
-		t.Errorf("switches = %d after incremental decision, want 1", m.Switches())
-	}
-	decs := m.Decisions()
-	if len(decs) != 2 || !decs[0].Switched || decs[1].Switched {
-		t.Errorf("decision journal = %+v, want [switched, not-switched]", decs)
+	if lbl := m.StrategyLabel("v"); lbl != "" {
+		t.Errorf("label %q after an unweighed wave", lbl)
 	}
 }
 
-// TestChooserHysteresis: after the first decision a flip needs the
-// alternative to win by HysteresisFactor for HysteresisRuns consecutive
-// waves.
-func TestChooserHysteresis(t *testing.T) {
-	m := New(Config{Hybrid: true, HysteresisRuns: 2, HysteresisFactor: 2})
-	m.Register("v", "c")
-	if got := m.Choose("v", 1, 1000); got != Incremental {
-		t.Fatalf("first decision = %v, want incremental", got)
+// TestChooserFloor: a wave whose predicted differencing cost is under
+// DifferenceFloor is differentiated whatever recomputation would cost,
+// never asks for the cold estimate, and leaves the chooser untouched —
+// even while the view's strategy above the floor is recomputation.
+func TestChooserFloor(t *testing.T) {
+	m := New(Config{})
+	c := m.Chooser("v")
+	c.ObserveIncremental(1, 16) // 16 scanned per seed tuple
+	never := func() int { t.Error("cold estimate requested under the floor"); return 0 }
+	small := DifferenceFloor/16 - 1
+	if got := c.Choose(small, never); got != Incremental {
+		t.Fatalf("Choose under the floor = %v", got)
 	}
+	if lbl := m.StrategyLabel("v"); lbl != "" {
+		t.Errorf("a wave under the floor was weighed: label %q", lbl)
+	}
+	for i := 0; i < hysteresisRuns; i++ {
+		c.Choose(small+1, cold(1))
+	}
+	if lbl := m.StrategyLabel("v"); lbl != "recomp" {
+		t.Fatalf("label %q after %d waves at the floor that favour recomputation", lbl, hysteresisRuns)
+	}
+	if got := c.Choose(small, never); got != Incremental {
+		t.Fatalf("Choose under the floor after a switch = %v", got)
+	}
+	if lbl := m.StrategyLabel("v"); lbl != "recomp" {
+		t.Errorf("a wave under the floor moved the strategy: label %q", lbl)
+	}
+	if m.Switches() != 1 || len(m.Decisions()) != 1 {
+		t.Errorf("switches = %d, journal = %+v; want the one switch", m.Switches(), m.Decisions())
+	}
+}
 
-	// Observed costs now favor recompute overwhelmingly…
-	m.ObserveIncremental("v", 1, 1000) // 1000 scanned per seed tuple
-	m.ObserveRecompute("v", 10)        // 10 scanned per recompute
+// TestChooserHysteresis: a flip — the first one included — needs the
+// alternative to win by hysteresisFactor for hysteresisRuns consecutive
+// weighed waves, and only the flip is journaled.
+func TestChooserHysteresis(t *testing.T) {
+	m := New(Config{})
+	c := m.Chooser("v")
+	c.ObserveIncremental(1, 10) // 10 scanned per seed tuple
+	c.ObserveRecompute(30000)   // 30 000 scanned per recomputation
+	const massive, modest = 10000, 100
 
-	// …but one wave is not enough.
-	if got := m.Choose("v", 1, 1000); got != Incremental {
+	// A massive wave favors recompute overwhelmingly, but one is not
+	// enough.
+	if got := c.Choose(massive, nil); got != Incremental {
 		t.Fatalf("decision after 1 favorable wave = %v, want incremental (hysteresis)", got)
 	}
-	if got := m.Choose("v", 1, 1000); got != Recompute {
-		t.Fatalf("decision after 2 favorable waves = %v, want recompute", got)
+	if lbl := m.StrategyLabel("v"); lbl != "incr" {
+		t.Errorf("StrategyLabel = %q, want incr (weighed, kept differencing)", lbl)
 	}
-	if m.Switches() != 1 {
-		t.Errorf("switches = %d, want 1", m.Switches())
+	if m.Switches() != 0 || len(m.Decisions()) != 0 {
+		t.Errorf("a wave that switched nothing was journaled: %+v", m.Decisions())
+	}
+	if got := c.Choose(massive, nil); got != Recompute {
+		t.Fatalf("decision after 2 favorable waves = %v, want recompute", got)
 	}
 	if lbl := m.StrategyLabel("v"); lbl != "recomp" {
 		t.Errorf("StrategyLabel = %q, want recomp", lbl)
+	}
+	decs := m.Decisions()
+	if len(decs) != 1 || decs[0].View != "v" || decs[0].Strategy != Recompute || decs[0].SeedTotal != massive {
+		t.Errorf("switch journal = %+v, want the one switch of v to recompute", decs)
+	}
+
+	// And back: the waves against the strategy in force must be
+	// consecutive.
+	for i, seed := range []int{modest, massive, modest} {
+		if got := c.Choose(seed, nil); got != Recompute {
+			t.Fatalf("wave %d of modest/massive/modest = %v, want recompute still", i, got)
+		}
+	}
+	if got := c.Choose(modest, nil); got != Incremental {
+		t.Fatalf("decision after 2 consecutive modest waves = %v, want incremental", got)
+	}
+	if m.Switches() != 2 {
+		t.Errorf("switches = %d, want 2", m.Switches())
 	}
 }
 
 // TestChooserMarginTooSmall: a cheaper alternative that doesn't clear
 // the hysteresis factor never flips the strategy.
 func TestChooserMarginTooSmall(t *testing.T) {
-	m := New(Config{Hybrid: true, HysteresisRuns: 2, HysteresisFactor: 2})
-	m.Register("v", "c")
-	m.Choose("v", 1, 1000)
-	m.ObserveIncremental("v", 1, 1000)
-	m.ObserveRecompute("v", 600) // cheaper, but 600×2 > 1000
+	m := New(Config{})
+	c := m.Chooser("v")
+	c.ObserveIncremental(1, 1000)
+	c.ObserveRecompute(800) // cheaper, but 800×1.5 > 1000
 	for i := 0; i < 5; i++ {
-		if got := m.Choose("v", 1, 1000); got != Incremental {
+		if got := c.Choose(1, nil); got != Incremental {
 			t.Fatalf("wave %d flipped on a sub-hysteresis margin", i)
 		}
 	}
@@ -316,40 +356,65 @@ func TestChooserMarginTooSmall(t *testing.T) {
 	}
 }
 
-// TestSetHybridOffResetsDecisions: disabling the chooser returns every
-// view to incremental; cost history survives for a warm re-enable.
-func TestSetHybridOffResetsDecisions(t *testing.T) {
-	m := New(Config{Hybrid: true})
-	m.Register("v", "c")
-	m.Choose("v", 100, 1) // recompute
-	m.SetHybrid(false)
-	if got := m.Choose("v", 100, 1); got != Incremental {
-		t.Errorf("Choose with hybrid off = %v, want incremental", got)
+// toRecompute drives a fresh chooser of m to the recompute strategy.
+func toRecompute(t *testing.T, m *Maintainer, view string) *Chooser {
+	t.Helper()
+	c := m.Chooser(view)
+	c.ObserveIncremental(1, 1000)
+	c.ObserveRecompute(4)
+	for i := 0; i < hysteresisRuns; i++ {
+		c.Choose(100, nil)
 	}
-	if lbl := m.StrategyLabel("v"); lbl == "recomp" {
-		t.Errorf("StrategyLabel with hybrid off = %q", lbl)
+	if lbl := m.StrategyLabel(view); lbl != "recomp" {
+		t.Fatalf("label %q, want recomp", lbl)
 	}
-	m.SetHybrid(true)
-	if got := m.Choose("v", 100, 1); got != Recompute {
-		t.Errorf("Choose after re-enable = %v, want recompute", got)
+	return c
+}
+
+// TestResetStrategies: switching the chooser off returns every view to
+// the unweighed default; cost history survives for a warm re-enable.
+func TestResetStrategies(t *testing.T) {
+	m := New(Config{})
+	c := toRecompute(t, m, "v")
+	m.ResetStrategies()
+	if lbl := m.StrategyLabel("v"); lbl != "" {
+		t.Errorf("StrategyLabel after reset = %q", lbl)
+	}
+	c.Choose(100, nil)
+	if got := c.Choose(100, nil); got != Recompute {
+		t.Errorf("Choose after re-enable = %v, want recompute from the kept costs", got)
+	}
+	if m.Switches() != 2 {
+		t.Errorf("switches = %d, want 2 (leaving the default again is a switch)", m.Switches())
 	}
 }
 
-func TestChooseDisabledRecordsNothing(t *testing.T) {
-	m := New(Config{})
-	m.Register("v", "c")
-	if got := m.Choose("v", 1000, 1); got != Incremental {
-		t.Errorf("Choose with hybrid off = %v", got)
+// TestChooserSurvivesRebuild: asking for a view's chooser again — what a
+// rebuilt network does — returns the same state, and registration for
+// counting does not disturb it.
+func TestChooserSurvivesRebuild(t *testing.T) {
+	m := New(Config{Counting: true})
+	c := toRecompute(t, m, "v")
+	m.Register("v", "canon")
+	if m.Chooser("v") != c {
+		t.Error("a second request made a new chooser")
 	}
-	if len(m.Decisions()) != 0 || m.Switches() != 0 {
-		t.Error("disabled chooser journaled decisions")
+	if got := m.Chooser("v").Choose(100, nil); got != Recompute {
+		t.Errorf("strategy lost: Choose = %v", got)
 	}
+}
+
+func TestNilMaintainerRecordsNothing(t *testing.T) {
 	var nilM *Maintainer
-	if got := nilM.Choose("v", 1, 1); got != Incremental {
-		t.Errorf("nil maintainer Choose = %v", got)
+	c := nilM.Chooser("v")
+	c.ObserveIncremental(1, 1000)
+	c.Choose(1000, cold(1))
+	if got := c.Choose(1000, cold(1)); got != Recompute {
+		t.Errorf("private chooser Choose = %v, want recompute", got)
 	}
-	nilM.ObserveIncremental("v", 1, 1)
-	nilM.ObserveRecompute("v", 1)
+	if len(nilM.Decisions()) != 0 || nilM.Switches() != 0 || nilM.StrategyLabel("v") != "" {
+		t.Error("nil maintainer reported chooser state")
+	}
 	nilM.OnEnd(false)
 	nilM.MarkDirty("v")
 }

@@ -15,9 +15,7 @@ type Metrics struct {
 	// Rollbacks counts transaction aborts replayed through the undo
 	// journal.
 	Rollbacks *obs.Counter
-	// Decisions counts chooser decisions per resulting strategy.
-	Decisions *obs.CounterVec
-	// Switches counts strategy flips (hysteresis-confirmed).
+	// Switches counts strategy switches.
 	Switches *obs.Counter
 	// CountedTuples is the number of distinct derived tuples currently
 	// carrying a support count.
@@ -27,13 +25,11 @@ type Metrics struct {
 // NewMetrics registers the maintenance meters in r.
 func NewMetrics(r *obs.Registry) *Metrics {
 	return &Metrics{
-		Applied:     r.Counter("partdiff_maint_applied_total", "Derived tuples whose derivation count changed."),
-		Retractions: r.Counter("partdiff_maint_retractions_total", "Counting-detected net deletions (support reached zero, no recompute)."),
-		Reseeds:     r.Counter("partdiff_maint_reseeds_total", "Full derivation-count store rebuilds."),
-		Rollbacks:   r.Counter("partdiff_maint_rollbacks_total", "Transaction aborts rolled back through the count undo journal."),
-		Decisions: r.CounterVec("partdiff_maint_decisions_total",
-			"Hybrid chooser decisions per resulting strategy.", "strategy"),
-		Switches:      r.Counter("partdiff_maint_strategy_switches_total", "Hybrid strategy flips (after hysteresis)."),
+		Applied:       r.Counter("partdiff_maint_applied_total", "Derived tuples whose derivation count changed."),
+		Retractions:   r.Counter("partdiff_maint_retractions_total", "Counting-detected net deletions (support reached zero, no recompute)."),
+		Reseeds:       r.Counter("partdiff_maint_reseeds_total", "Full derivation-count store rebuilds."),
+		Rollbacks:     r.Counter("partdiff_maint_rollbacks_total", "Transaction aborts rolled back through the count undo journal."),
+		Switches:      r.Counter("partdiff_maint_strategy_switches_total", "Views the hybrid chooser moved between differencing and recomputation."),
 		CountedTuples: r.Gauge("partdiff_maint_counted_tuples", "Distinct derived tuples carrying a support count."),
 	}
 }

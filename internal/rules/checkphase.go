@@ -16,8 +16,8 @@ import (
 //
 //	loop:
 //	  1. if base relations changed, derive each activated condition's
-//	     net Δ (incrementally, naively, or hybrid) and fold it into the
-//	     activation's pending trigger set with ∪Δ;
+//	     net Δ (through the propagation network, or naively) and fold it
+//	     into the activation's pending trigger set with ∪Δ;
 //	  2. choose ONE triggered rule through conflict resolution;
 //	  3. execute its action set-oriented, once per net-true instance —
 //	     action updates accumulate new base Δs;
@@ -224,20 +224,16 @@ func (m *Manager) runAction(r *Rule, inst types.Tuple) (err error) {
 // deriveTriggers computes each activated condition's Δ for the current
 // window of base changes and folds it into the pending trigger sets.
 func (m *Manager) deriveTriggers(round int) error {
-	switch m.mode {
-	case Incremental:
-		return m.deriveIncremental(round, nil)
-	case Naive:
+	if m.mode == Naive {
 		return m.deriveNaive()
-	default:
-		return m.deriveHybrid(round)
 	}
+	return m.deriveIncremental(round)
 }
 
-// deriveIncremental propagates through the network. If only is non-nil,
-// trigger folding is restricted to those activations (hybrid mode); the
-// propagation itself is always global (shared nodes serve everyone).
-func (m *Manager) deriveIncremental(round int, only map[string]bool) error {
+// deriveIncremental propagates through the network — the Incremental
+// and the Hybrid monitor alike: which views of a wave are differentiated
+// and which recomputed is the network's decision (propnet.SetHybrid).
+func (m *Manager) deriveIncremental(round int) error {
 	changed := map[string]bool{}
 	for _, pred := range m.net.ChangedBase() {
 		changed[pred] = true
@@ -248,11 +244,9 @@ func (m *Manager) deriveIncremental(round int, only map[string]bool) error {
 	}
 	m.met.Propagations.Inc()
 	m.met.Differentials.Add(int64(m.net.Executed()))
+	m.met.NaiveRecomputations.Add(int64(m.net.Recomputed()))
 	trace := m.net.Trace()
 	for _, a := range m.sortedActivations() {
-		if only != nil && !only[a.Key] {
-			continue
-		}
 		d := deltas[a.CondName]
 		if d.IsEmpty() {
 			continue
@@ -383,58 +377,4 @@ func (m *Manager) affectedBy(a *Activation, changed map[string]bool) bool {
 		return false
 	}
 	return visit(a.Def, map[string]bool{})
-}
-
-// deriveHybrid chooses per activation: incremental when the accumulated
-// base changes are small relative to the influent relations, otherwise
-// naive re-evaluation by logical rollback (old and new extents computed,
-// diffed — still no materialization across transactions). This is the
-// hybrid evaluation method sketched in §8.
-func (m *Manager) deriveHybrid(round int) error {
-	changed := map[string]bool{}
-	var deltaTotal, relTotal int
-	for _, pred := range m.net.ChangedBase() {
-		changed[pred] = true
-		deltaTotal += m.net.BaseDelta(pred).Len()
-		if rel, ok := m.store.Relation(pred); ok {
-			relTotal += rel.Len()
-		}
-	}
-	useNaive := relTotal > 0 && float64(deltaTotal) > m.HybridRatio*float64(relTotal)
-
-	incr := map[string]bool{}
-	ev := m.net.Evaluator()
-	for _, a := range m.sortedActivations() {
-		if !m.affectedBy(a, changed) {
-			continue
-		}
-		if !useNaive {
-			incr[a.Key] = true
-			continue
-		}
-		oldTrue, err := ev.EvalPred(a.CondName, true)
-		if err != nil {
-			return err
-		}
-		newTrue, err := ev.EvalPred(a.CondName, false)
-		if err != nil {
-			return err
-		}
-		m.met.NaiveRecomputations.Inc()
-		d := delta.Diff(oldTrue, newTrue)
-		if d.IsEmpty() || !a.Rule.eventMatches(changed) {
-			continue
-		}
-		a.trigger.UnionInto(d)
-		m.explanations = append(m.explanations, Explanation{
-			Rule:       a.Rule.Name,
-			Activation: a.Key,
-			Round:      round,
-			Instances:  d.Plus().Tuples(),
-		})
-	}
-	if len(incr) > 0 {
-		return m.deriveIncremental(round, incr)
-	}
-	return nil
 }

@@ -56,10 +56,9 @@ func (m *Manager) SetObservability(o *obs.Observability) {
 	m.netMet = propnet.NewMetrics(o.Registry)
 	m.evalMet = eval.NewMetrics(o.Registry)
 	delta.RegisterMetrics(o.Registry)
-	if m.maintainer != nil {
-		m.maintainer.SetMetrics(maint.NewMetrics(o.Registry))
-		m.maintainer.SetBus(o.Bus)
-	}
+	m.maintainer.SetMetrics(maint.NewMetrics(o.Registry))
+	m.maintainer.SetBus(o.Bus)
+	m.maintainer.SetRecorder(o.Flight)
 	if m.net != nil {
 		m.net.SetObs(m.netMet, o.Tracer)
 		m.net.SetProfiler(o.Profiler)

@@ -6,14 +6,16 @@
 //
 // Three monitors are provided:
 //
-//   - Incremental — partial differencing over the propagation network
-//     (the paper's contribution).
+//   - Hybrid — the default, and the §8 "future work" method: partial
+//     differencing over the propagation network, in which every view,
+//     wave by wave, is recomputed (by logical rollback, unmaterialized)
+//     instead when the accumulated changes are large against the
+//     relations it reads. The decision is the network's (propnet,
+//     maint.Chooser).
+//   - Incremental — partial differencing only (the paper's contribution,
+//     and the reference the equivalence tests and fig. 7 need).
 //   - Naive — full recomputation of each affected condition with a
 //     materialized previous truth set (the §6 baseline).
-//   - Hybrid — the §8 "future work" method: per condition and per check
-//     round, falls back to naive (rollback-based, unmaterialized)
-//     evaluation when the accumulated changes are large relative to the
-//     influent relations.
 package rules
 
 import (
@@ -173,9 +175,6 @@ type Manager struct {
 	prog  *objectlog.Program
 
 	mode Mode
-	// HybridRatio is the Δ-to-relation size ratio above which the
-	// hybrid monitor falls back to naive evaluation (default 0.5).
-	HybridRatio float64
 	// MaxRounds bounds rule-cascade loops in one check phase.
 	MaxRounds int
 	// CheckBudget bounds the wall-clock duration of one check phase
@@ -225,10 +224,9 @@ type Manager struct {
 	pending  []storage.Event
 	diffOpts diff.Options
 	inj      *faultinject.Injector
-	// maintainer is the counting/hybrid maintenance subsystem (nil until
-	// SetCounting or SetHybrid first enables it). It outlives network
-	// rebuilds: derivation counts and chooser cost history survive
-	// redefinitions that don't change a view.
+	// maintainer is the counting/hybrid maintenance subsystem. It
+	// outlives network rebuilds: derivation counts and chooser cost
+	// history survive redefinitions that don't change a view.
 	maintainer *maint.Maintainer
 	// staticPruning enables the whole-network Δ-effect analysis on every
 	// rebuilt network (on by default; opt-out for A/B comparison).
@@ -301,8 +299,8 @@ func NewManager(store *storage.Store, mode Mode) *Manager {
 		store:         store,
 		prog:          objectlog.NewProgram(),
 		mode:          mode,
-		HybridRatio:   0.5,
 		MaxRounds:     100,
+		maintainer:    maint.New(maint.Config{}),
 		rules:         map[string]*Rule{},
 		activations:   map[string]*Activation{},
 		sharedNames:   map[string]bool{},
@@ -363,20 +361,6 @@ func (m *Manager) SetStaticPruning(on bool) {
 // StaticPruning reports whether static differential pruning is enabled.
 func (m *Manager) StaticPruning() bool { return m.staticPruning }
 
-// ensureMaintainer lazily creates the maintenance subsystem (with both
-// features off) and binds it to the manager's observability bundle.
-func (m *Manager) ensureMaintainer() *maint.Maintainer {
-	if m.maintainer == nil {
-		cfg := maint.DefaultConfig()
-		cfg.Counting, cfg.Hybrid = false, false
-		m.maintainer = maint.New(cfg)
-		m.maintainer.SetMetrics(maint.NewMetrics(m.obs.Registry))
-		m.maintainer.SetBus(m.obs.Bus)
-		m.maintainer.SetRecorder(m.obs.Flight)
-	}
-	return m.maintainer
-}
-
 // SetCounting enables or disables counting maintenance: differenced
 // views carry a per-derived-tuple derivation count, so a deletion
 // decrements support and retracts the tuple only at count zero — no
@@ -388,45 +372,50 @@ func (m *Manager) SetCounting(on bool) {
 	if m.Counting() == on {
 		return
 	}
-	m.ensureMaintainer().SetCounting(on)
+	m.maintainer.SetCounting(on)
 	m.netDirty = true
 }
 
 // Counting reports whether counting maintenance is enabled.
 func (m *Manager) Counting() bool { return m.maintainer.Counting() }
 
-// SetHybrid enables or disables the cost-based hybrid propagation mode:
-// a per-view, per-wave chooser that routes propagation through either
-// partial differentials or naive full recomputation, whichever the
-// observed cost EWMAs predict is cheaper (§8), with hysteresis. This is
-// orthogonal to the manager-level Mode (Incremental/Naive/Hybrid),
-// which picks the check-phase derivation scheme per activation; the
-// maintainer's chooser acts inside the propagation network per view.
+// SetHybrid switches at runtime between the Hybrid monitor (on: each
+// view, wave by wave, runs its partial differentials or is recomputed,
+// whichever its Δ sizes predict is cheaper — §8) and the Incremental one
+// (off: partial differencing only). Turning it off forgets the views'
+// current strategies but not their observed costs. It has no effect on
+// a Naive monitor, whose materialized truth sets the others do not keep.
 func (m *Manager) SetHybrid(on bool) {
-	if m.Hybrid() == on {
+	if m.mode == Naive || m.Hybrid() == on {
 		return
 	}
-	m.ensureMaintainer().SetHybrid(on)
-	m.netDirty = true
+	m.mode = Incremental
+	if on {
+		m.mode = Hybrid
+	} else {
+		m.maintainer.ResetStrategies()
+	}
+	if m.net != nil {
+		m.net.SetHybrid(on)
+	}
 }
 
-// Hybrid reports whether cost-based hybrid propagation is enabled.
-func (m *Manager) Hybrid() bool { return m.maintainer.Hybrid() }
+// Hybrid reports whether the monitor is the Hybrid one.
+func (m *Manager) Hybrid() bool { return m.mode == Hybrid }
 
-// Maintainer returns the maintenance subsystem (nil until SetCounting
-// or SetHybrid first enables it).
+// Maintainer returns the maintenance subsystem.
 func (m *Manager) Maintainer() *maint.Maintainer { return m.maintainer }
 
 // HybridReport writes the maintenance subsystem's state — per-view
-// strategies, count-store sizes, cost EWMAs and the recent decision
-// journal (the shell's \hybrid report).
+// strategies, count-store sizes, cost EWMAs and the journal of recent
+// strategy switches (the shell's \hybrid report).
 func (m *Manager) HybridReport(w io.Writer) error {
-	return m.maintainer.WriteReport(w)
+	return m.maintainer.WriteReport(w, m.Hybrid())
 }
 
 // StrategyOf labels a view's current maintenance strategy for the
-// profiler report ("count", "incr", "recomp"; empty means the default
-// incremental scheme with no maintainer involvement).
+// profiler report ("count", "incr", "recomp"; empty means the view has
+// only ever run its partial differentials, unweighed).
 func (m *Manager) StrategyOf(view string) string {
 	return m.maintainer.StrategyLabel(view)
 }
@@ -769,6 +758,7 @@ func (m *Manager) ensureNet() error {
 	net.SetBus(m.obs.Bus)
 	net.SetRecorder(m.obs.Flight)
 	net.SetMaintainer(m.maintainer)
+	net.SetHybrid(m.mode == Hybrid)
 	net.Evaluator().SetMetrics(m.evalMet)
 	net.Evaluator().SetStats(m.stats)
 	for _, sv := range m.sharedViews {
@@ -870,7 +860,7 @@ func (m *Manager) sortedActivations() []*Activation {
 // It never rebuilds the network: it is called with the store's write
 // lock held, and a rebuild runs the Δ-effect analysis, which reads
 // store capabilities — a self-deadlock. While the network is dirty (a
-// runtime toggle such as SetCounting/SetHybrid/SetStaticPruning, a
+// runtime toggle such as SetCounting/SetStaticPruning, a
 // capability declaration, or a late shared-view definition), events are
 // buffered and folded in by the next safe rebuild.
 func (m *Manager) OnEvent(e storage.Event) {

@@ -410,11 +410,33 @@ func TestIncrementalAndNaiveAgree(t *testing.T) {
 
 func TestHybridSwitchesRegimes(t *testing.T) {
 	f := newFixture(t, Hybrid)
-	for i := int64(1); i <= 20; i++ {
+	// Fully updating k of a view's relations predicts differencing at k
+	// times a recomputation; the switch needs more than 1.5, so the
+	// condition reads three relations: low stock with a reserve on hand.
+	if _, err := f.store.CreateRelation("reserve", 2, []int{0}); err != nil {
+		t.Fatal(err)
+	}
+	const items = 100
+	for i := int64(1); i <= items; i++ {
 		f.set(t, "quantity", i, 100)
 		f.set(t, "threshold", i, 60)
+		f.set(t, "reserve", i, 10)
 	}
-	f.defineLowStock(t, "low", true, 0)
+	err := f.mgr.DefineRule(&Rule{
+		Name: "low", Strict: true, Action: f.recorder("low"),
+		CondDef: &objectlog.Def{Name: "cond_low", Arity: 1, Clauses: []objectlog.Clause{
+			{Head: objectlog.Lit("cond_low", objectlog.V("I")), Body: []objectlog.Literal{
+				objectlog.Lit("quantity", objectlog.V("I"), objectlog.V("Q")),
+				objectlog.Lit("threshold", objectlog.V("I"), objectlog.V("T")),
+				objectlog.Lit("reserve", objectlog.V("I"), objectlog.V("R")),
+				objectlog.Lit(objectlog.BuiltinLT, objectlog.V("Q"), objectlog.V("T")),
+				objectlog.Lit(objectlog.BuiltinLT, objectlog.V("R"), objectlog.V("T")),
+			}},
+		}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	f.mgr.Activate("low")
 
 	// Small transaction → incremental path.
@@ -423,19 +445,35 @@ func TestHybridSwitchesRegimes(t *testing.T) {
 	if st.Propagations != 1 || st.NaiveRecomputations != 0 {
 		t.Errorf("small txn stats: %+v", st)
 	}
-	// Massive transaction (all items) → naive path.
-	f.inTxn(t, func() {
-		for i := int64(1); i <= 20; i++ {
-			f.set(t, "quantity", i, 40)
-		}
-	})
-	st = f.mgr.Stats()
-	if st.NaiveRecomputations == 0 {
-		t.Errorf("massive txn should use naive path: %+v", st)
+	// Massive transactions (every tuple of all three relations) → naive
+	// path, once the prediction has held for two waves in a row.
+	massive := func(q, thr, res int64) {
+		f.inTxn(t, func() {
+			for i := int64(1); i <= items; i++ {
+				f.set(t, "quantity", i, q)
+				f.set(t, "threshold", i, thr)
+				f.set(t, "reserve", i, res)
+			}
+		})
 	}
-	// All became low except item 1 (already low, strict).
-	if got := len(f.fired["low"]); got != 1+19 {
-		t.Errorf("fired %d instances, want 20", got)
+	massive(90, 61, 11)
+	massive(91, 62, 12)
+	if st = f.mgr.Stats(); st.NaiveRecomputations != 1 {
+		t.Errorf("second massive txn should use the naive path: %+v", st)
+	}
+	massive(40, 63, 13)
+	if st = f.mgr.Stats(); st.NaiveRecomputations != 2 {
+		t.Errorf("third massive txn should use the naive path: %+v", st)
+	}
+	// Item 1 fired in the small transaction, went back above its threshold,
+	// and drops below it again with everyone else (strict semantics).
+	if got := len(f.fired["low"]); got != 1+items {
+		t.Errorf("fired %d instances, want %d", got, 1+items)
+	}
+	// And the small transaction after it is differentiated again.
+	f.inTxn(t, func() { f.set(t, "quantity", 2, 45) })
+	if st = f.mgr.Stats(); st.NaiveRecomputations != 2 {
+		t.Errorf("small txn after the massive ones was recomputed: %+v", st)
 	}
 }
 

@@ -94,9 +94,14 @@ var (
 // Mode selects the rule condition monitoring strategy.
 type Mode = rules.Mode
 
-// The monitoring modes: Incremental is the paper's partial differencing
-// monitor, Naive is the §6 full-recomputation baseline, Hybrid switches
-// between them per transaction (§8 future work).
+// The monitoring modes. Hybrid, the default, is the paper's partial
+// differencing monitor with its §8 remedy built in: per view and per
+// propagation wave the engine compares, from the Δ sizes it holds and
+// the scan costs it has observed, what running the view's partial
+// differentials would cost with what recomputing the view would, and
+// does the cheaper — so massive updates of small relations (the paper's
+// fig. 7) pay one pass, not one per differential. Incremental is partial
+// differencing only; Naive is the §6 full-recomputation baseline.
 const (
 	Incremental = rules.Incremental
 	Naive       = rules.Naive
@@ -160,7 +165,6 @@ type config struct {
 	adaptive    bool
 	noPruning   bool
 	counting    bool
-	hybrid      bool
 	budget      time.Duration
 	ctx         context.Context
 	writerWait  time.Duration
@@ -194,8 +198,7 @@ type namedFFn struct {
 	fn     ForeignFunc
 }
 
-// WithMode selects the condition monitoring strategy (default
-// Incremental).
+// WithMode selects the condition monitoring strategy (default Hybrid).
 func WithMode(m Mode) Option {
 	return func(c *config) { c.mode = m }
 }
@@ -239,27 +242,12 @@ func WithoutStaticPruning() Option {
 // decrements support and retracts the tuple only when its count reaches
 // zero — no recomputation of the defining condition and no §7.2
 // membership probes on deletes. Counts are transactional (rolled back
-// exactly on abort) and rebuilt lazily after recovery or redefinition.
-// Requires deletion monitoring (the default); with
-// WithoutDeletionMonitoring it compiles but stays inactive. See
-// DESIGN.md "Counting maintenance & hybrid propagation".
+// exactly on abort) and rebuilt lazily after recovery, redefinition or a
+// wave the Hybrid monitor recomputed. Requires deletion monitoring (the
+// default); with WithoutDeletionMonitoring it compiles but stays
+// inactive. See DESIGN.md "Counting maintenance & hybrid propagation".
 func WithCounting() Option {
 	return func(c *config) { c.counting = true }
-}
-
-// WithHybridMode enables cost-based hybrid propagation (the paper's §8
-// observation made operational): per view and per propagation wave, a
-// chooser compares the predicted scan cost of incremental partial
-// differencing against naive full recomputation — from observed
-// per-view cost EWMAs, seeded by the evaluator's extent estimates — and
-// routes the wave through whichever is cheaper, with hysteresis so the
-// choice doesn't flap. Decisions are journaled (`\hybrid report`, the
-// profiler's strategy column), metered, and announced as system bus
-// events on every switch. Orthogonal to WithMode(Hybrid), which picks
-// the per-activation check-phase scheme; this chooser acts inside the
-// propagation network per view. Usually combined with WithCounting.
-func WithHybridMode() Option {
-	return func(c *config) { c.hybrid = true }
 }
 
 // WithCheckBudget bounds the wall-clock duration of each commit-time
@@ -311,7 +299,7 @@ func WithSlowCommitThreshold(d time.Duration) Option {
 // WithFlightRecorder arms the always-on flight recorder: fixed-size
 // in-memory rings continuously capture propagation-wave summaries,
 // per-commit phase timings, WAL fsync latencies, hybrid-chooser
-// decisions and recent events. When an anomaly trigger fires (slow
+// switches and recent events. When an anomaly trigger fires (slow
 // commit, fsync stall, capability violation, corruption, WAL
 // poisoning, check-budget abort, conflict storm, commit stall) the
 // window is frozen and written to dir as a self-contained diagnostics
@@ -367,7 +355,7 @@ func Open(opts ...Option) *DB {
 }
 
 func open(opts []Option) (*DB, *config) {
-	cfg := config{mode: Incremental}
+	cfg := config{mode: Hybrid}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -386,9 +374,6 @@ func open(opts []Option) (*DB, *config) {
 	}
 	if cfg.counting {
 		db.sess.SetCounting(true)
-	}
-	if cfg.hybrid {
-		db.sess.SetHybrid(true)
 	}
 	db.sess.Rules().CheckBudget = cfg.budget
 	db.sess.Rules().CheckContext = cfg.ctx
@@ -646,16 +631,17 @@ func (db *DB) SetCounting(on bool) { db.sess.SetCounting(on) }
 // Counting reports whether counting maintenance is on.
 func (db *DB) Counting() bool { return db.sess.Counting() }
 
-// SetHybrid enables or disables cost-based hybrid propagation at
-// runtime (see WithHybridMode).
+// SetHybrid switches at runtime between the Hybrid monitor (true) and
+// the Incremental one (false); see the Mode constants. No effect on a
+// database opened WithMode(Naive).
 func (db *DB) SetHybrid(on bool) { db.sess.SetHybrid(on) }
 
-// Hybrid reports whether cost-based hybrid propagation is on.
+// Hybrid reports whether the monitor is the Hybrid one.
 func (db *DB) Hybrid() bool { return db.sess.Hybrid() }
 
 // HybridReport writes the maintenance subsystem's report: per-view
-// strategies, count-store sizes, observed cost EWMAs and the recent
-// strategy-decision journal.
+// strategies, count-store sizes, observed cost EWMAs and the journal of
+// recent strategy switches.
 func (db *DB) HybridReport(w io.Writer) error { return db.sess.HybridReport(w) }
 
 // Event is one structured observability event: a rule firing with its

@@ -386,6 +386,90 @@ activate runaway();`)
 		}
 	})
 
+	// SetVar needs the gate only to place the binding in the write-ahead
+	// log: in memory it binds at once whoever holds the gate (and the
+	// action's own SetVar walks no stack to be recognised); with a log
+	// attached the action's binding joins its transaction's record and a
+	// stranger's queues for its own.
+	for _, durable := range []bool{false, true} {
+		durable := durable
+		name := "SetVar from an action and from a stranger, in memory"
+		if durable {
+			name = "SetVar from an action and from a stranger, logged"
+		}
+		t.Run(name, func(t *testing.T) {
+			var db *DB
+			inAction, release := make(chan struct{}), make(chan struct{})
+			restock := func(args []Value) error {
+				db.SetVar("from_action", Int(1))
+				close(inAction)
+				<-release
+				db.SetVar("from_action", Int(2))
+				_, err := db.Exec(`set quantity(:a) = 100;`)
+				return err
+			}
+			dir := t.TempDir()
+			if durable {
+				var err error
+				db, err = OpenDir(dir, WithProcedure("restock", restock), WithWriterWait(5*time.Second))
+				if err != nil {
+					t.Fatal(err)
+				}
+				db.MustExec(reentrySchema + "activate low();")
+			} else {
+				db = reentryDB(t, restock)
+			}
+			writer, stranger := make(chan struct{}), make(chan struct{})
+			var writerErr error
+			go func() {
+				defer close(writer)
+				_, writerErr = db.Exec(`set quantity(:a) = 5;`)
+			}()
+			<-inAction
+			go func() {
+				defer close(stranger)
+				db.SetVar("from_stranger", Int(3))
+			}()
+			if durable {
+				waitQueued(t, db, 1)
+				stillRunning(t, stranger, "a stranger's logged SetVar")
+			} else {
+				select {
+				case <-stranger:
+				case <-time.After(5 * time.Second):
+					t.Fatal("a stranger's in-memory SetVar waited for the gate")
+				}
+			}
+			close(release)
+			<-writer
+			<-stranger
+			if writerErr != nil {
+				t.Fatalf("writer failed: %v", writerErr)
+			}
+			check := func(db *DB) {
+				t.Helper()
+				for name, want := range map[string]int64{"from_action": 2, "from_stranger": 3} {
+					if v, ok := db.Var(name); !ok || v.I != want {
+						t.Errorf("%s = %v (bound %v), want %d", name, v, ok, want)
+					}
+				}
+			}
+			check(db)
+			assertUsable(t, db)
+			if durable {
+				if err := db.Close(); err != nil {
+					t.Fatal(err)
+				}
+				re, err := OpenDir(dir, WithProcedure("restock", func([]Value) error { return nil }))
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer re.Close()
+				check(re)
+			}
+		})
+	}
+
 	t.Run("an action's write to a second DB queues behind its holder", func(t *testing.T) {
 		dbB := Open(WithWriterWait(5 * time.Second))
 		dbB.MustExec(`
