@@ -14,13 +14,12 @@ package amosql
 //     against it with a private compiler and evaluator, seeing exactly
 //     the commits sequenced before the pin.
 //   - Re-entrant calls from the holder are admitted at once: a rule
-//     action's updates join the committing transaction. Telling the
-//     holder from a stranger takes a goroutine id, and reading one
-//     costs a stack walk (goid), so the holder stays anonymous while
-//     only session code runs and is named just where user code that
-//     can re-enter takes over: a check round's actions, a foreign
-//     function in an expression (both asHolder), and a lease that
-//     outlives the call (leave).
+//     action's updates join the committing transaction. The holder
+//     stays anonymous while only session code runs and is named just
+//     where user code that can re-enter takes over: a check round's
+//     actions and a foreign function in an expression (asHolder, which
+//     locks the goroutine to its OS thread and names the thread), and a
+//     lease that outlives the call (leave, which names the goroutine).
 //   - Atomic runs an optimistic transaction: reads on a snapshot with
 //     the read set recorded, writes buffered, then validated and
 //     applied under the gate — ErrConflict when a commit invalidated
@@ -33,7 +32,6 @@ package amosql
 import (
 	"context"
 	"fmt"
-	"iter"
 	"runtime"
 	"sort"
 	"time"
@@ -55,8 +53,9 @@ const defaultWriterWait = 30 * time.Second
 // that carry no context deadline of their own (<= 0 waits forever).
 func (s *Session) SetWriterWait(d time.Duration) { s.writerWait.Store(int64(d)) }
 
-// The values of Session.owner that are not a goroutine id (ids start
-// at 1).
+// Session.owner is one of: ownerFree; ownerAnon; a goroutine id (ids
+// start at 1), naming a lease's holder; or a thread tag below
+// ownerAnon, naming the goroutine asHolder has locked to that thread.
 const (
 	ownerFree int64 = 0
 	// ownerAnon: the gate is held and the holder has not been named.
@@ -65,12 +64,21 @@ const (
 	ownerAnon int64 = -1
 )
 
+// threadTag names a locked OS thread: the sign bit, a 30-bit generation
+// above the 32-bit thread id. Bit 62 stays clear, so no tag is ownerAnon.
+func threadTag(tid int64, gen uint32) int64 {
+	return -1<<63 | int64(gen&(1<<30-1))<<32 | tid
+}
+
+const tidMask = 1<<32 - 1
+
 // goid returns the calling goroutine's id, parsed in place from the
 // "goroutine N [status]:" header runtime.Stack writes. The walk behind
 // it costs microseconds and grows with the depth of the caller's stack,
-// so it is only made where a gate is held by a named goroutine. ok is
-// false when the header does not parse: that is no identity, never one
-// to compare equal to another failure.
+// so it is only made to name and recognise a lease's holder (and, on
+// platforms without a thread id, by callerThread). ok is false when the
+// header does not parse: that is no identity, never one to compare
+// equal to another failure.
 func goid() (id int64, ok bool) {
 	const prefix = "goroutine "
 	var buf [len(prefix) + 20]byte // the widest int64 and the space after it
@@ -88,16 +96,28 @@ func goid() (id int64, ok bool) {
 	return id, true
 }
 
-// heldByCaller reports whether the calling goroutine is the named
-// holder of the gate. A free or anonymously held gate answers no
-// without a stack walk.
+// heldByCaller reports whether the caller is the named holder of the
+// gate. A free or anonymously held gate answers no without asking who
+// the caller is. A lease's holder is recognised by goroutine id. A
+// thread-named holder is recognised by the caller's thread: while the
+// tag stands, its goroutine is locked to that thread and no other
+// goroutine runs there, so a caller that finds itself on the thread
+// with the same tag read before and after is the holder. The second
+// read rejects a stranger that read the tag, was moved onto the thread
+// after the holder unlocked it, and called callerThread there; the
+// generation keeps a later asHolder on the same thread from restoring
+// the tag it read.
 func (s *Session) heldByCaller() bool {
 	o := s.owner.Load()
-	if o == ownerFree || o == ownerAnon {
+	switch {
+	case o == ownerFree || o == ownerAnon:
 		return false
+	case o > 0:
+		g, ok := goid()
+		return ok && g == o
 	}
-	g, ok := goid()
-	return ok && g == o
+	t, ok := callerThread()
+	return ok && t == o&tidMask && s.owner.Load() == o
 }
 
 // enter acquires the writer gate with the default deadline; see
@@ -186,36 +206,40 @@ func (s *Session) leave(errp *error) {
 // with the gate's holder named, so the re-entrant call is admitted to
 // the transaction instead of queueing behind it.
 //
-// An anonymous holder is named on a fresh stack: fn runs on a coroutine
-// (iter.Pull: a same-thread hand-off, no scheduler and no second
-// thread) that records its own id first, and the caller resumes when fn
-// returns. goid's walk is linear in stack depth, and the re-entrant
-// calls user code makes each pay it again to be recognised; down here,
-// some thirty frames below Exec, naming the holder in place made both
-// several times dearer than on a stack that starts at fn. A panic or
-// runtime.Goexit in fn resurfaces in the caller, as iter.Pull
-// documents, so containment and deferred calls behave as if fn had run
-// in place.
+// The holder is named by its OS thread, in place: the goroutine is
+// locked to the thread it runs on and owner becomes that thread's tag
+// under a fresh generation; on the way out the previous owner is
+// restored before the thread is unlocked. Recognising the holder then
+// costs a thread-id read, not a stack walk, however deep fn calls. A
+// lease's goroutine-id owner is replaced the same way and restored
+// after fn, so an explicit transaction's commit gets the same cheap
+// recognition; its holder is never left locked across API calls,
+// because a goroutine that exits locked takes its thread with it and
+// the thread's id can be reused. A panic or runtime.Goexit in fn runs
+// the deferred restore and unlock on its way to the caller.
 //
-// A holder that is named already — a lease, or fn nested inside another
-// asHolder — is the running goroutine, and fn runs in place. So it does
-// when the gate is free: the rule manager driven without the session's
-// entry points has nobody to recognise.
+// A holder that is thread-named already — fn nested inside another
+// asHolder — is the running goroutine, and fn runs as it stands. So it
+// does when the gate is free (the rule manager driven without the
+// session's entry points has nobody to recognise) and when the caller
+// has no id to give (fn runs under the previous owner: at worst its
+// re-entrant calls queue until their deadline, but no stranger is ever
+// admitted).
 func (s *Session) asHolder(fn func() error) error {
-	if s.owner.Load() != ownerAnon {
+	prev := s.owner.Load()
+	if prev == ownerFree || prev < ownerAnon {
 		return fn()
 	}
-	var err error
-	next, stop := iter.Pull(func(func(struct{}) bool) {
-		if g, ok := goid(); ok {
-			s.owner.Store(g)
-		}
-		err = fn()
-	})
-	defer stop()
-	defer s.owner.Store(ownerAnon)
-	next()
-	return err
+	runtime.LockOSThread()
+	defer runtime.UnlockOSThread()
+	t, ok := callerThread()
+	if !ok || t > tidMask {
+		return fn()
+	}
+	s.holderGen++
+	s.owner.Store(threadTag(t, s.holderGen))
+	defer s.owner.Store(prev)
+	return fn()
 }
 
 // --- interface-variable map (shared with gate-free readers) ---

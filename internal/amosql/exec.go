@@ -56,11 +56,13 @@ type Session struct {
 	// Concurrency control (see concurrency.go). Transactions are serial
 	// (internal/txn): gate is the fair FIFO writer-admission gate, owner
 	// says who holds it — ownerFree, ownerAnon (held by whoever is
-	// running session code) or the id of a named goroutine — and depth
-	// is the holder's re-entrancy count: re-entrant calls from the
-	// holder are part of the execution model (rule actions issue updates
-	// that join the committing transaction), and the holder is named
-	// exactly where it hands control to code that can make them.
+	// running session code), the id of a lease's goroutine, or the tag
+	// of the OS thread asHolder locked the holder to, whose generation
+	// holderGen counts — and depth is the holder's re-entrancy count:
+	// re-entrant calls from the holder are part of the execution model
+	// (rule actions issue updates that join the committing transaction),
+	// and the holder is named exactly where it hands control to code
+	// that can make them.
 	// explicit marks a gate lease held across calls by an open explicit
 	// transaction; writerWait (ns) is the default admission deadline.
 	// syncWait, armed by the wal hook under SyncGrouped, is the pending
@@ -73,6 +75,7 @@ type Session struct {
 	owner      atomic.Int64
 	depth      int
 	explicit   bool
+	holderGen  uint32
 	writerWait atomic.Int64
 	syncWait   func() error
 	snapGensym atomic.Int64
@@ -242,7 +245,7 @@ func (s *Session) IfaceVar(name string) (types.Value, bool) {
 // Only the logging needs the writer gate — it places the binding in the
 // log's record order — so an in-memory session binds under the map's own
 // lock and never asks who holds the gate (a rule action calling SetVar
-// would pay a stack walk for the answer). If admission fails (deadline
+// would pay a thread-id read for the answer). If admission fails (deadline
 // expiry on a stuck session) the binding still lands in memory — the
 // historical best-effort contract — but is not logged.
 func (s *Session) SetIfaceVar(name string, v types.Value) {
@@ -494,7 +497,7 @@ func (s *Session) QueryContext(ctx context.Context, src string) (*Result, error)
 		return nil, fmt.Errorf("Query expects a select statement")
 	}
 	if s.heldByCaller() {
-		s.depth++ // re-entrant; enterCtx would find that with a second stack walk
+		s.depth++ // re-entrant; enterCtx would only ask again
 		return s.liveQuery(sel)
 	}
 	return s.snapshotQuery(ctx, sel)

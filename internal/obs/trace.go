@@ -22,7 +22,6 @@ func Int(k string, v int) Attr { return Attr{Key: k, Value: strconv.Itoa(v)} }
 
 // TraceSink receives completed trace events. Sinks must be safe for
 // concurrent use; the tracer calls them inline from instrumented code.
-// (The event-bus sink interface is the separate Sink in events.go.)
 type TraceSink interface {
 	// Span is called once per span, at End time.
 	Span(cat, name string, start time.Time, dur time.Duration, attrs []Attr)

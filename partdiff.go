@@ -137,17 +137,21 @@ const (
 // during the check phase of the committing transaction and may call
 // back into the DB: its Exec joins that transaction (and can force a
 // further check round), its Query sees the transaction's uncommitted
-// state. Actions may run on a stack the DB owns rather than on the
-// goroutine that called Exec or Commit — on the same thread, while that
-// call waits — so a procedure must not rely on being that goroutine. A
-// panic is contained and rolls the transaction back; runtime.Goexit
-// (and so testing.T.FailNow) ends the committing goroutine, after the
-// rollback.
+// state. It runs on the goroutine that called Exec or Commit, locked to
+// its OS thread (runtime.LockOSThread): the DB recognises the
+// procedure's calls by that thread. A procedure may lock and unlock the
+// thread itself in balanced pairs, but must not call
+// runtime.UnlockOSThread more times than it called LockOSThread; its
+// calls from a goroutine it spawns are a stranger's, and queue behind
+// the transaction. A panic is contained and rolls the transaction back;
+// runtime.Goexit (and so testing.T.FailNow) ends the committing
+// goroutine, after the rollback.
 type Procedure = catalog.Procedure
 
 // ForeignFunc is a foreign function usable in procedural expressions.
-// Like a Procedure it may call back into the DB and may run on a stack
-// of the DB's own.
+// Like a Procedure it may call back into the DB, runs locked to the
+// calling goroutine's OS thread, and must not call
+// runtime.UnlockOSThread more times than it called LockOSThread.
 type ForeignFunc = catalog.ForeignFunc
 
 // DB is an active database instance.
@@ -329,32 +333,39 @@ func WithCheckpointInterval(d time.Duration) Option {
 	return func(c *config) { c.ckptEveryD = d }
 }
 
-// WithProcedure registers a foreign procedure before recovery runs, so
-// rule actions re-fired while replaying the log dispatch through it.
-// Actions whose procedure is not registered at recovery time are
-// skipped during replay (their database updates are still recovered
-// from the log). As with RegisterProcedure, the procedure may run on a
-// stack of the DB's own rather than the caller's goroutine; see
-// Procedure.
+// WithProcedure registers a foreign procedure as the database opens —
+// with OpenDir, before recovery runs, so rule actions re-fired while
+// replaying the log dispatch through it. Actions whose procedure is not
+// registered at recovery time are skipped during replay (their database
+// updates are still recovered from the log). See Procedure for how it
+// runs.
 func WithProcedure(name string, p Procedure) Option {
 	return func(c *config) { c.procs = append(c.procs, namedProc{name, p}) }
 }
 
-// WithForeignFunc registers a foreign function before recovery runs
-// (the function-as-action counterpart of WithProcedure).
+// WithForeignFunc registers a foreign function as the database opens
+// (the function-as-action counterpart of WithProcedure). No user type
+// exists yet when options are applied, so its parameter and result
+// types must be scalar; a declaration the catalog rejects makes Open
+// panic and OpenDir fail.
 func WithForeignFunc(name string, paramTypes []string, resultType string, fn ForeignFunc) Option {
 	return func(c *config) {
 		c.ffns = append(c.ffns, namedFFn{name, paramTypes, resultType, fn})
 	}
 }
 
-// Open creates an empty in-memory active database.
+// Open creates an empty in-memory active database. It panics when an
+// option's procedure or foreign function cannot be registered (a
+// programming error; OpenDir returns it instead).
 func Open(opts ...Option) *DB {
-	db, _ := open(opts)
+	db, _, err := open(opts)
+	if err != nil {
+		panic(err)
+	}
 	return db
 }
 
-func open(opts []Option) (*DB, *config) {
+func open(opts []Option) (*DB, *config, error) {
 	cfg := config{mode: Hybrid}
 	for _, o := range opts {
 		o(&cfg)
@@ -386,7 +397,17 @@ func open(opts []Option) (*DB, *config) {
 	if cfg.flightRec {
 		db.sess.SetFlightRecorder(cfg.flightDir)
 	}
-	return db, &cfg
+	for _, np := range cfg.procs {
+		if err := db.RegisterProcedure(np.name, np.p); err != nil {
+			return nil, nil, err
+		}
+	}
+	for _, nf := range cfg.ffns {
+		if err := db.RegisterFunction(nf.name, nf.params, nf.result, nf.fn); err != nil {
+			return nil, nil, err
+		}
+	}
+	return db, &cfg, nil
 }
 
 // OpenDir opens a durable active database backed by the data directory
@@ -398,18 +419,11 @@ func open(opts []Option) (*DB, *config) {
 // actions' procedures with WithProcedure so replayed rules dispatch
 // through them. Close the database when done.
 func OpenDir(dir string, opts ...Option) (*DB, error) {
-	db, cfg := open(opts)
-	for _, np := range cfg.procs {
-		if err := db.RegisterProcedure(np.name, np.p); err != nil {
-			return nil, err
-		}
+	db, cfg, err := open(opts)
+	if err != nil {
+		return nil, err
 	}
-	for _, nf := range cfg.ffns {
-		if err := db.RegisterFunction(nf.name, nf.params, nf.result, nf.fn); err != nil {
-			return nil, err
-		}
-	}
-	err := db.sess.AttachDir(dir, amosql.DirConfig{
+	err = db.sess.AttachDir(dir, amosql.DirConfig{
 		Policy:             cfg.sync,
 		CheckpointEvery:    cfg.ckptEvery,
 		CheckpointInterval: cfg.ckptEveryD,

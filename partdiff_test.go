@@ -138,3 +138,52 @@ set f(:a) = 11;
 		}
 	}
 }
+
+// Open honours WithProcedure and WithForeignFunc as OpenDir does: the
+// rule's action dispatches through the option's procedure, and a set
+// expression calls the option's function.
+func TestOpenRegistersOptionCallbacks(t *testing.T) {
+	var ordered []Value
+	db := Open(
+		WithProcedure("order", func(args []Value) error {
+			ordered = append(ordered, args[0])
+			return nil
+		}),
+		WithForeignFunc("twice", []string{"integer"}, "integer", func(args []Value) ([][]Value, error) {
+			return [][]Value{{Int(2 * args[0].I)}}, nil
+		}),
+	)
+	db.MustExec(`
+create type item;
+create function quantity(item) -> integer;
+create rule low() as when for each item i where quantity(i) < 10 do order(i);
+create item instances :a;
+set quantity(:a) = 100;
+activate low();
+set quantity(:a) = twice(2);`)
+	a, _ := db.Var("a")
+	if len(ordered) != 1 || ordered[0] != a {
+		t.Errorf("order fired for %v, want [%v]", ordered, a)
+	}
+	r, err := db.Query(`select quantity(:a);`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := r.Tuples[0][0].I; got != 4 {
+		t.Errorf("quantity(:a) = %d, want twice(2) = 4", got)
+	}
+}
+
+// An option's callback the catalog rejects is a programming error: Open
+// panics with the registration error.
+func TestOpenPanicsOnRejectedOptionCallback(t *testing.T) {
+	defer func() {
+		r := recover()
+		err, _ := r.(error)
+		if err == nil || !strings.Contains(err.Error(), "unknown type") {
+			t.Errorf("recovered %v, want the registration error", r)
+		}
+	}()
+	Open(WithForeignFunc("f", []string{"item"}, "integer", func([]Value) ([][]Value, error) { return nil, nil }))
+	t.Error("Open returned")
+}

@@ -2,6 +2,7 @@ package partdiff
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"runtime"
 	"strings"
@@ -12,10 +13,10 @@ import (
 // The re-entrancy matrix. The session tells a rule action's own
 // statements (which join the committing transaction) from a stranger's
 // (which queue, or read a snapshot) by naming the gate's holder only
-// where user code takes over — and there on a stack of the session's
-// own. Each case below is one way of arriving at an entry point while
-// the gate is held. Run under -race: the hand-off moves session state
-// between the caller's goroutine and that stack.
+// where user code takes over — and there by the OS thread the holder is
+// locked to while that code runs. Each case below is one way of
+// arriving at an entry point while the gate is held. Run under -race:
+// strangers read the holder's name while it changes.
 //
 // Every DB carries a short writer wait, so a caller wrongly made to
 // queue behind itself fails with ErrSessionBusy instead of hanging the
@@ -469,6 +470,128 @@ activate runaway();`)
 			}
 		})
 	}
+
+	t.Run("explicit transaction's commit runs actions that re-enter", func(t *testing.T) {
+		var db *DB
+		var sawInAction int64
+		db = reentryDB(t, func(args []Value) error {
+			r, err := db.Query(`select quantity(:a);`)
+			if err != nil {
+				return err
+			}
+			sawInAction = r.Tuples[0][0].I
+			db.SetVar("o", args[0])
+			_, err = db.Exec(`set quantity(:o) = 500;`)
+			return err
+		})
+		if err := db.Begin(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := db.Exec(`set quantity(:a) = 5;`); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if sawInAction != 5 {
+			t.Errorf("the action's query saw quantity %d, want the uncommitted 5", sawInAction)
+		}
+		if got := queryInt(t, db, `select quantity(:a);`); got != 500 {
+			t.Errorf("quantity(:a) = %d, want the action's 500", got)
+		}
+		assertUsable(t, db)
+	})
+
+	t.Run("action locking and unlocking its thread in pairs still re-enters", func(t *testing.T) {
+		var db *DB
+		db = reentryDB(t, func(args []Value) error {
+			for i := 0; i < 3; i++ {
+				runtime.LockOSThread()
+				runtime.LockOSThread()
+				runtime.Gosched()
+				runtime.UnlockOSThread()
+				runtime.UnlockOSThread()
+				runtime.Gosched()
+			}
+			db.SetVar("o", args[0])
+			_, err := db.Exec(`set quantity(:o) = 500;`)
+			return err
+		})
+		if _, err := db.Exec(`set quantity(:a) = 5;`); err != nil {
+			t.Fatal(err)
+		}
+		if got := queryInt(t, db, `select quantity(:a);`); got != 500 {
+			t.Errorf("quantity(:a) = %d, want the action's 500", got)
+		}
+		assertUsable(t, db)
+	})
+
+	t.Run("an action's spawned goroutine is a stranger", func(t *testing.T) {
+		var db *DB
+		var spawnedErr error
+		db = reentryDB(t, func([]Value) error {
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+				defer cancel()
+				_, spawnedErr = db.ExecContext(ctx, `set threshold(:b) = 1;`)
+			}()
+			<-done
+			return nil
+		})
+		if _, err := db.Exec(`set quantity(:a) = 5;`); err != nil {
+			t.Fatal(err)
+		}
+		if !errors.Is(spawnedErr, ErrSessionBusy) {
+			t.Errorf("the spawned goroutine's Exec returned %v, want ErrSessionBusy", spawnedErr)
+		}
+		if got := queryInt(t, db, `select threshold(:b);`); got != 10 {
+			t.Errorf("threshold(:b) = %d: the spawned goroutine's write was admitted", got)
+		}
+		assertUsable(t, db)
+	})
+
+	// A's action writes to B, whose own action writes back to A. B's
+	// action runs on the thread A's action is locked to, so A recognises
+	// it as its holder and the write joins A's open transaction (as a
+	// direct re-entry would) instead of queueing behind it until the
+	// deadline.
+	t.Run("A→B→A across two DBs joins A's transaction", func(t *testing.T) {
+		var dbA *DB
+		dbB := Open(WithWriterWait(5*time.Second), WithProcedure("poke", func(args []Value) error {
+			_, err := dbA.Exec(`set quantity(:a) = 500;`)
+			return err
+		}))
+		dbB.MustExec(`
+create type item;
+create function v(item) -> integer;
+create rule touched() as when for each item i where v(i) > 0 do poke(i);
+create item instances :k;
+set v(:k) = 0;
+activate touched();`)
+		dbA = reentryDB(t, func([]Value) error {
+			_, err := dbB.Exec(`set v(:k) = 1;`)
+			return err
+		})
+		before := dbA.Stats()
+		if _, err := dbA.Exec(`set quantity(:a) = 5;`); err != nil {
+			t.Fatal(err)
+		}
+		if got := queryInt(t, dbA, `select quantity(:a);`); got != 500 {
+			t.Errorf("quantity(:a) = %d, want B's action's 500", got)
+		}
+		if got := queryInt(t, dbB, `select v(:k);`); got != 1 {
+			t.Errorf("v(:k) = %d, want A's action's 1", got)
+		}
+		if rounds := dbA.Stats().CheckRounds - before.CheckRounds; rounds < 2 {
+			t.Errorf("%d check round(s) on A, want B's action's write to force a second", rounds)
+		}
+		assertUsable(t, dbA)
+		if err := dbB.CheckInvariants(); err != nil {
+			t.Error(err)
+		}
+	})
 
 	t.Run("an action's write to a second DB queues behind its holder", func(t *testing.T) {
 		dbB := Open(WithWriterWait(5 * time.Second))
