@@ -392,3 +392,74 @@ func recoverySmokeChild(dir string) {
 		time.Sleep(time.Second)
 	}
 }
+
+// TestRecoveryResyncsMonitorState: the action events a commit record
+// logs are applied after replay, outside every monitor, when the action
+// did not run again (its procedure not registered at reopen). Monitor
+// state that outlives a transaction — the naive monitor's previous
+// truth sets, counting's support counts — must follow, or the rule never
+// fires for the item again and the counted condition carries support for
+// a tuple that is no longer derivable.
+func TestRecoveryResyncsMonitorState(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opts []Option
+	}{
+		{"default", nil},
+		{"naive", []Option{WithMode(Naive)}},
+		{"counting", []Option{WithCounting()}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			var db *DB
+			fired := 0
+			restock := func(args []Value) error {
+				fired++
+				_, err := db.Exec(fmt.Sprintf("set quantity(:a) = %d;", 100+fired))
+				return err
+			}
+			db, err := OpenDir(dir, append(tc.opts, WithProcedure("order", restock))...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			db.MustExec(`create type item;
+				create function quantity(item) -> integer;
+				create rule low() as when for each item i where quantity(i) < 10 do order(i);
+				create item instances :a;
+				set quantity(:a) = 100;
+				activate low();`)
+			for i := 0; i < 3; i++ {
+				db.MustExec("set quantity(:a) = 5;")
+			}
+			if fired != 3 {
+				t.Fatalf("order() ran %d times before the reopen, want 3", fired)
+			}
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			db, err = OpenDir(dir, tc.opts...) // order() is not registered: replay skips it
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			if err := db.CheckInvariants(); err != nil {
+				t.Fatalf("after the reopen: %v", err)
+			}
+			res, err := db.Query("select q for each integer q where quantity(:a) = q;")
+			if err != nil || len(res.Tuples) != 1 || res.Tuples[0][0] != Int(103) {
+				t.Fatalf("recovered quantity(:a) = %v (%v), want 103", res, err)
+			}
+			if err := db.RegisterProcedure("order", restock); err != nil {
+				t.Fatal(err)
+			}
+			db.MustExec("set quantity(:a) = 5;")
+			if fired != 4 {
+				t.Errorf("the drop after the reopen ran order() %d time(s), want 1", fired-3)
+			}
+			if err := db.CheckInvariants(); err != nil {
+				t.Errorf("after the next drop: %v", err)
+			}
+		})
+	}
+}

@@ -1,6 +1,7 @@
 package amosql
 
 import (
+	"strings"
 	"testing"
 
 	"partdiff/internal/rules"
@@ -163,5 +164,98 @@ create amphibious instances :duck;
 	rel, _ := s.Store().Relation("type:vehicle")
 	if rel.Len() != 1 {
 		t.Errorf("vehicle extent has %d entries", rel.Len())
+	}
+}
+
+// TestNoReferenceToADeadObject: a set or add may not make a stored
+// function refer to an object outside its type's extent — one deleted
+// earlier in the running transaction (the catalog forgets it only at
+// commit) or one whose creation was rolled back. Compiled plans drop
+// the type literals such references would break, so a dangling tuple
+// would surface in query results.
+func TestNoReferenceToADeadObject(t *testing.T) {
+	s := NewSession(rules.Incremental)
+	s.MustExec(`
+create type item;
+create function quantity(item) -> integer;
+create function next(item) -> item;
+create item instances :a, :b;
+set quantity(:a) = 1;
+`)
+	s.MustExec(`begin; delete :a;`)
+	for _, stmt := range []string{`set quantity(:a) = 7;`, `add quantity(:a) = 8;`, `set next(:b) = :a;`} {
+		_, err := s.Exec(stmt)
+		if err == nil || !strings.Contains(err.Error(), ":a was deleted") {
+			t.Errorf("%s after delete :a: err = %v, want one naming :a", stmt, err)
+		}
+	}
+	s.MustExec(`commit;`)
+	if err := s.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	r, _ := s.Query(`select i, q for each item i, integer q where quantity(i) = q;`)
+	if len(r.Tuples) != 0 {
+		t.Errorf("quantity after the delete = %v, want none", r.Tuples)
+	}
+
+	s.MustExec(`begin; create item instances :c; rollback;`)
+	if _, err := s.Exec(`set quantity(:c) = 9;`); err == nil {
+		t.Error("set on an object whose creation was rolled back accepted")
+	}
+	if n := s.Catalog().ExtentSize("item"); n != 1 {
+		t.Errorf("catalog holds %d items after the rollback, want 1 (:b)", n)
+	}
+	if err := s.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFailedDeleteKeepsExtents: a delete that a sealed relation stops
+// half-way inside an explicit transaction has retracted no extent
+// membership of the object, so committing what it left keeps every
+// reference inside the extents.
+func TestFailedDeleteKeepsExtents(t *testing.T) {
+	for i := 0; i < 8; i++ { // the footprint is visited in map order
+		s := NewSession(rules.Incremental)
+		s.MustExec(`
+create type item;
+create function quantity(item) -> integer;
+create function stock(item) -> integer;
+create item instances :a;
+set quantity(:a) = 1;
+set stock(:a) = 2;
+declare quantity readonly;
+begin;
+`)
+		if _, err := s.Exec(`delete :a;`); err == nil {
+			t.Fatal("delete through a readonly relation accepted")
+		}
+		s.MustExec(`commit;`)
+		if err := s.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestCheckInvariantsFindsDanglingReference: a stored tuple whose object
+// value lies outside its column type's extent breaks the referential
+// invariant, and CheckInvariants says which tuple.
+func TestCheckInvariantsFindsDanglingReference(t *testing.T) {
+	s := NewSession(rules.Incremental)
+	s.MustExec(`
+create type item;
+create function quantity(item) -> integer;
+create item instances :a;
+set quantity(:a) = 1;
+`)
+	if err := s.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Store().Insert("quantity", types.Tuple{types.Obj(999), types.Int(2)}); err != nil {
+		t.Fatal(err)
+	}
+	err := s.CheckInvariants()
+	if err == nil || !strings.Contains(err.Error(), "quantity(#999, 2)") || !strings.Contains(err.Error(), "extent of item") {
+		t.Fatalf("CheckInvariants = %v, want the dangling quantity(#999, 2) named", err)
 	}
 }

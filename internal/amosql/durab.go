@@ -21,6 +21,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"time"
 
 	"partdiff/internal/obs"
@@ -250,8 +251,20 @@ func (s *Session) replayCommit(r *wal.Record) error {
 	if err := s.txns.Commit(); err != nil {
 		return err
 	}
+	var changed []string
 	for _, e := range r.ActEvents {
-		if err := s.store.ApplyLogged(e); err != nil {
+		ok, err := s.store.ApplyLogged(e)
+		if err != nil {
+			return err
+		}
+		if ok && !slices.Contains(changed, e.Relation) {
+			changed = append(changed, e.Relation)
+		}
+	}
+	if len(changed) > 0 {
+		// The actions whose effects these are did not run: the monitors
+		// never saw the change.
+		if err := s.mgr.Resync(changed); err != nil {
 			return err
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -46,7 +47,11 @@ type Session struct {
 	// deferred to commit: their stored footprint is retracted inside
 	// the transaction (and restored by rollback), but the OID itself
 	// dies only if the transaction commits.
-	pendingDeletes []pendingDelete
+	pendingDeletes []pendingObject
+	// pendingCreates holds the objects created by the running
+	// transaction: a rollback retracts their extent memberships, so they
+	// die in the catalog too.
+	pendingCreates []pendingObject
 
 	// lintMode turns rule actions into no-ops, so a script can be
 	// executed for analysis only (the \lint and -lint paths) without
@@ -123,7 +128,9 @@ type Session struct {
 	ckptWG           sync.WaitGroup
 }
 
-type pendingDelete struct {
+// pendingObject is an object whose catalog entry is settled at
+// transaction end, with the interface variable it was bound to.
+type pendingObject struct {
 	varName string
 	oid     types.OID
 }
@@ -566,11 +573,12 @@ func (s *Session) SetInjector(inj *faultinject.Injector) {
 }
 
 // CheckInvariants verifies cross-layer consistency: storage
-// index↔tuple-set agreement and version-sidecar sanity, propagation-
-// network level monotonicity, and — outside a transaction — that every
-// Δ-set and pending trigger set is empty. It takes the writer gate so
-// the state it inspects is quiescent; on a poisoned database it
-// returns the sticky corruption error.
+// index↔tuple-set agreement and version-sidecar sanity, the referential
+// invariant (checkReferences), propagation-network level monotonicity,
+// and — outside a transaction — that every Δ-set and pending trigger
+// set is empty. It takes the writer gate so the state it inspects is
+// quiescent; on a poisoned database it returns the sticky corruption
+// error.
 func (s *Session) CheckInvariants() (err error) {
 	if err = s.enterCtx(context.Background()); err != nil {
 		return err
@@ -579,7 +587,43 @@ func (s *Session) CheckInvariants() (err error) {
 	if err := s.store.CheckInvariants(); err != nil {
 		return err
 	}
+	if err := s.checkReferences(); err != nil {
+		return err
+	}
 	return s.mgr.CheckInvariants(!s.txns.InTransaction())
+}
+
+// checkReferences verifies the referential invariant compiled plans
+// rely on to drop type-extent literals: every object value in a column
+// of a stored function lies in the extent of the column's type and of
+// each of its supertypes.
+func (s *Session) checkReferences() error {
+	for _, name := range s.cat.FunctionNames() {
+		f, _ := s.cat.Function(name)
+		rel, ok := s.store.Relation(name)
+		if f.Kind != catalog.Stored || !ok {
+			continue
+		}
+		for col, tn := range f.ColumnTypes() {
+			for _, typ := range s.cat.ImpliedExtents(tn) {
+				ext, ok := s.store.Relation(objectlog.TypePred(typ))
+				if !ok {
+					return fmt.Errorf("referential invariant: type %s has no extent", typ)
+				}
+				var err error
+				rel.Each(func(t types.Tuple) bool {
+					if !ext.Contains(t[col : col+1]) {
+						err = fmt.Errorf("referential invariant: %s%s holds %s, which is not in the extent of %s", name, t, t[col], typ)
+					}
+					return err == nil
+				})
+				if err != nil {
+					return err
+				}
+			}
+		}
+	}
+	return nil
 }
 
 // execStmt dispatches one statement; src is its source text (empty for
@@ -689,6 +733,7 @@ func (s *Session) execCreateInstances(x CreateInstances) (Result, error) {
 		if err != nil {
 			return Result{}, s.autoAbort(commit, err)
 		}
+		s.pendingCreates = append(s.pendingCreates, pendingObject{varName: v, oid: oid})
 		// Insert into the extent of the type and all supertypes (the
 		// type graph is a DAG; each extent gets the instance once).
 		t, _ := s.cat.Type(x.TypeName)
@@ -725,6 +770,14 @@ func (s *Session) execCreateFunction(x CreateFunction) (Result, error) {
 		if _, err := s.store.CreateRelation(x.Name, f.Arity(), f.KeyCols()); err != nil {
 			return Result{}, err
 		}
+		// Updates and deletions keep every object value of the relation in
+		// its column type's extents; compiled plans drop the type literals
+		// this implies.
+		cols := make([][]string, f.Arity())
+		for i, tn := range f.ColumnTypes() {
+			cols[i] = s.cat.ImpliedExtents(tn)
+		}
+		s.mgr.Program().SetColumnExtents(x.Name, cols)
 		s.mgr.InvalidateAnalysis()
 		return Result{Message: fmt.Sprintf("stored function %s created", x.Name)}, nil
 	}
@@ -934,11 +987,21 @@ func (s *Session) execUpdate(x UpdateStmt) (Result, error) {
 	if !s.cat.ValueConformsTo(val, f.Results[0]) {
 		return Result{}, fmt.Errorf("%s: value %s does not conform to type %s", x.Fn, val, f.Results[0])
 	}
+	tuple := append(append(types.Tuple{}, key...), val)
+	if x.Op != "remove" {
+		// The catalog forgets a deleted object only at commit; until then
+		// its extent memberships are already gone, and a new reference to
+		// it would dangle.
+		for _, pd := range s.pendingDeletes {
+			if slices.Contains(tuple, types.Obj(pd.oid)) {
+				return Result{}, fmt.Errorf("%s: :%s was deleted in this transaction", x.Fn, pd.varName)
+			}
+		}
+	}
 	commit, err := s.autoBegin()
 	if err != nil {
 		return Result{}, err
 	}
-	tuple := append(append(types.Tuple{}, key...), val)
 	switch x.Op {
 	case "set":
 		_, err = s.store.Set(x.Fn, key, []types.Value{val})
@@ -977,17 +1040,24 @@ func (s *Session) execDeleteInstances(x DeleteInstances) (Result, error) {
 		if _, ok := s.cat.ObjectType(val.O); !ok {
 			return Result{}, s.autoAbort(commit, fmt.Errorf(":%s refers to a deleted object", v))
 		}
-		// Retract the object's entire stored footprint, including its
-		// extent memberships (type:* relations are scanned like any
-		// other relation).
-		for rel, tuples := range s.store.TuplesReferencing(val) {
-			for _, t := range tuples {
-				if _, err := s.store.Delete(rel, t); err != nil {
-					return Result{}, s.autoAbort(commit, err)
+		// Retract the object's entire stored footprint, its extent
+		// memberships last: a statement that fails half-way inside an
+		// explicit transaction leaves no tuple referencing an object
+		// outside its extents.
+		refs := s.store.TuplesReferencing(val)
+		for _, extents := range []bool{false, true} {
+			for rel, tuples := range refs {
+				if _, ok := objectlog.IsTypePred(rel); ok != extents {
+					continue
+				}
+				for _, t := range tuples {
+					if _, err := s.store.Delete(rel, t); err != nil {
+						return Result{}, s.autoAbort(commit, err)
+					}
 				}
 			}
 		}
-		s.pendingDeletes = append(s.pendingDeletes, pendingDelete{varName: v, oid: val.O})
+		s.pendingDeletes = append(s.pendingDeletes, pendingObject{varName: v, oid: val.O})
 		if s.walOn() {
 			s.walObjDels = append(s.walObjDels, val.O)
 		}
@@ -1045,17 +1115,21 @@ func (s *Session) execExplain(x ExplainStmt) (Result, error) {
 	return Result{Message: strings.TrimRight(sb.String(), "\n")}, nil
 }
 
-// finishDeletes applies or discards pending object destructions at
-// transaction end. On rollback the stored footprint was already
-// restored by inverse replay, so the objects simply stay alive.
+// finishDeletes settles the catalog at transaction end. A commit
+// destroys the deleted objects; a rollback destroys the created ones,
+// whose extent memberships inverse replay just retracted, while the
+// deleted objects, whose footprint it restored, stay alive.
 func (s *Session) finishDeletes(committed bool) {
+	dead := s.pendingCreates
 	if committed {
-		for _, pd := range s.pendingDeletes {
-			s.cat.DeleteObject(pd.oid)
-			s.delIfaceObj(pd.varName, pd.oid)
-		}
+		dead = s.pendingDeletes
+	}
+	for _, pd := range dead {
+		s.cat.DeleteObject(pd.oid)
+		s.delIfaceObj(pd.varName, pd.oid)
 	}
 	s.pendingDeletes = s.pendingDeletes[:0]
+	s.pendingCreates = nil // a bulk load's worth is not kept alive
 }
 
 func (s *Session) execSelect(x SelectStmt) (Result, error) {

@@ -478,6 +478,24 @@ func (c *Catalog) Procedure(name string) (Procedure, bool) {
 	return p, ok
 }
 
+// ImpliedExtents returns the types whose extents hold every object that
+// conforms to typeName: the type itself and its supertypes. A scalar
+// type implies none, and neither does "object", to which every object
+// conforms whatever its type.
+func (c *Catalog) ImpliedExtents(typeName string) []string {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	t, ok := c.types[typeName]
+	if !ok || typeName == "object" {
+		return nil
+	}
+	var out []string
+	for _, sup := range t.AllSupertypes() {
+		out = append(out, sup.Name)
+	}
+	return out
+}
+
 // ValueConformsTo reports whether a runtime value is acceptable for a
 // column declared with the given type name (used for cheap dynamic
 // checking at update time).

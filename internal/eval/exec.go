@@ -402,14 +402,13 @@ func (e *Evaluator) derive(pi *predInfo, mask uint64, old bool, vals types.Tuple
 }
 
 func (a *activation) compare(i int, x *op) error {
-	lit := &x.st.lit
 	av, bv := a.value(x, 0), a.value(x, 1)
 	switch {
 	case x.acts[1].kind != actCheck: // binding equality
 		a.frame[x.st.args[1].slot] = av
 	case x.acts[0].kind != actCheck:
 		a.frame[x.st.args[0].slot] = bv
-	case cmpHolds(lit.Pred, av, bv) == lit.Negated:
+	case x.st.op.holds(av, bv) == x.st.lit.Negated:
 		return nil
 	}
 	return a.step(i + 1)
@@ -417,20 +416,7 @@ func (a *activation) compare(i int, x *op) error {
 
 // arith evaluates op(a, b, r): r is checked when bound, bound otherwise.
 func (a *activation) arith(i int, x *op) error {
-	lit := &x.st.lit
-	av, bv := a.value(x, 0), a.value(x, 1)
-	var res types.Value
-	var err error
-	switch lit.Pred {
-	case objectlog.BuiltinPlus:
-		res, err = types.Add(av, bv)
-	case objectlog.BuiltinMinus:
-		res, err = types.Sub(av, bv)
-	case objectlog.BuiltinTimes:
-		res, err = types.Mul(av, bv)
-	case objectlog.BuiltinDiv:
-		res, err = types.Div(av, bv)
-	}
+	res, err := x.st.op.apply(a.value(x, 0), a.value(x, 1))
 	if err != nil {
 		// Arithmetic failure (e.g. division by zero) fails the
 		// conjunction rather than aborting the query.
@@ -438,29 +424,47 @@ func (a *activation) arith(i int, x *op) error {
 	}
 	if x.acts[2].kind != actCheck {
 		a.frame[x.st.args[2].slot] = res
-	} else if a.value(x, 2).Equal(res) == lit.Negated {
+	} else if a.value(x, 2).Equal(res) == x.st.lit.Negated {
 		return nil
 	}
 	return a.step(i + 1)
 }
 
-func cmpHolds(pred string, a, b types.Value) bool {
-	switch pred {
-	case objectlog.BuiltinEQ:
+func cmpHolds(pred string, a, b types.Value) bool { return builtinOf(pred).holds(a, b) }
+
+// holds applies comparison op to a and b.
+func (op builtin) holds(a, b types.Value) bool {
+	switch op {
+	case opEQ:
 		return a.Equal(b)
-	case objectlog.BuiltinNE:
+	case opNE:
 		return !a.Equal(b)
 	}
 	c := a.Compare(b)
-	switch pred {
-	case objectlog.BuiltinLT:
+	switch op {
+	case opLT:
 		return c < 0
-	case objectlog.BuiltinLE:
+	case opLE:
 		return c <= 0
-	case objectlog.BuiltinGT:
+	case opGT:
 		return c > 0
-	case objectlog.BuiltinGE:
+	case opGE:
 		return c >= 0
 	}
 	return false
+}
+
+// apply computes arithmetic op over a and b.
+func (op builtin) apply(a, b types.Value) (types.Value, error) {
+	switch op {
+	case opPlus:
+		return types.Add(a, b)
+	case opMinus:
+		return types.Sub(a, b)
+	case opTimes:
+		return types.Mul(a, b)
+	case opDiv:
+		return types.Div(a, b)
+	}
+	return types.Value{}, fmt.Errorf("%d is not an arithmetic builtin", op)
 }

@@ -58,8 +58,53 @@ const (
 type step struct {
 	lit  objectlog.Literal
 	kind stepKind
+	op   builtin // stepCompare, stepArith
 	args []arg
 	pred *predInfo // stepDerived
+}
+
+// builtin is a comparison or arithmetic predicate, decoded from its name
+// once per compile so execution switches on a small integer.
+type builtin uint8
+
+const (
+	opNone builtin = iota
+	opEQ
+	opNE
+	opLT
+	opLE
+	opGT
+	opGE
+	opPlus
+	opMinus
+	opTimes
+	opDiv
+)
+
+func builtinOf(pred string) builtin {
+	switch pred {
+	case objectlog.BuiltinEQ:
+		return opEQ
+	case objectlog.BuiltinNE:
+		return opNE
+	case objectlog.BuiltinLT:
+		return opLT
+	case objectlog.BuiltinLE:
+		return opLE
+	case objectlog.BuiltinGT:
+		return opGT
+	case objectlog.BuiltinGE:
+		return opGE
+	case objectlog.BuiltinPlus:
+		return opPlus
+	case objectlog.BuiltinMinus:
+		return opMinus
+	case objectlog.BuiltinTimes:
+		return opTimes
+	case objectlog.BuiltinDiv:
+		return opDiv
+	}
+	return opNone
 }
 
 // seed binds or checks one head position against the caller's value.
@@ -113,19 +158,20 @@ func (p *Plan) build() error {
 		return args[from:len(args):len(args)]
 	}
 	p.head = argsOf(c.Head.Args)
-	p.steps = make([]step, len(c.Body))
 	prog := e.env.Program()
-	for i, l := range c.Body {
+	body := withoutImpliedExtents(prog, c.Body)
+	p.steps = make([]step, len(body))
+	for i, l := range body {
 		st := &p.steps[i]
 		st.lit, st.args = l, argsOf(l.Args)
 		switch {
 		case objectlog.IsComparison(l.Pred):
-			st.kind = stepCompare
+			st.kind, st.op = stepCompare, builtinOf(l.Pred)
 			if len(l.Args) != 2 {
 				return fmt.Errorf("builtin %s expects 2 args, got %s", l.Pred, l)
 			}
 		case objectlog.IsArithmetic(l.Pred):
-			st.kind = stepArith
+			st.kind, st.op = stepArith, builtinOf(l.Pred)
 			if len(l.Args) != 3 {
 				return fmt.Errorf("builtin %s expects 3 args, got %s", l.Pred, l)
 			}
@@ -155,6 +201,48 @@ func (p *Plan) build() error {
 	}
 	p.epoch = e.epoch // only now: a failed rebuild is retried, not run
 	return nil
+}
+
+// withoutImpliedExtents returns body without the type-extent literals
+// the program's column extents make redundant: a positive, current- or
+// old-state type:T(v) goes when a positive stored literal of the same
+// state holds v in a column whose values all lie in T's extent. Every
+// state a plan reads (new, old, a snapshot) satisfies that invariant, so
+// the literal can only ever succeed once per solution; set and bag
+// results are unchanged. A type literal implied only by a Δ-literal
+// stays: a Δ-set is a change, not a state, and the tuples of a Δ−set
+// have left the relation. body itself is returned when nothing goes.
+func withoutImpliedExtents(prog *objectlog.Program, body []objectlog.Literal) []objectlog.Literal {
+	implied := func(l objectlog.Literal) bool {
+		typ, ok := objectlog.IsTypePred(l.Pred)
+		if !ok || l.Negated || l.Delta != objectlog.DeltaNone || len(l.Args) != 1 {
+			return false
+		}
+		for _, m := range body {
+			if m.Negated || m.Delta != objectlog.DeltaNone || m.Old != l.Old {
+				continue
+			}
+			for j, a := range m.Args {
+				if a.Equal(l.Args[0]) && prog.Implies(m.Pred, j, typ) {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	for i, l := range body {
+		if !implied(l) {
+			continue
+		}
+		out := slices.Clone(body[:i])
+		for _, l := range body[i+1:] {
+			if !implied(l) {
+				out = append(out, l)
+			}
+		}
+		return out
+	}
+	return body
 }
 
 // prepare brings p up to date for the evaluator's current generation:
@@ -242,7 +330,7 @@ func (st *step) bind(bound []bool) {
 	case st.kind == stepArith:
 		out = st.args[2:]
 	case st.kind == stepCompare:
-		if st.lit.Pred == objectlog.BuiltinEQ {
+		if st.op == opEQ {
 			out = st.args
 		}
 	case !st.lit.Negated:
@@ -275,7 +363,7 @@ func stepCost(st *step, bound []bool, size int, stats *Stats) (cost int, ready b
 	allBound := boundArgs == len(st.args)
 	switch {
 	case st.kind == stepCompare:
-		if st.lit.Pred == objectlog.BuiltinEQ {
+		if st.op == opEQ {
 			return 0, boundArgs >= 1 // eq can bind one free side
 		}
 		return 0, allBound

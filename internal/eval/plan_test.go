@@ -14,15 +14,24 @@ import (
 // each, nobody below threshold) and returns it with the monitor_items
 // condition, fully expanded as the rule compiler leaves it:
 //
-//	cnd(I) ← item(I) ∧ quantity(I,Q) ∧ consume_freq(I,C) ∧ supplies(S,I) ∧
+//	cnd(I) ← type:item(I) ∧ quantity(I,Q) ∧ consume_freq(I,C) ∧ supplies(S,I) ∧
 //	         delivery_time(I,S,D) ∧ C*D=P ∧ min_stock(I,M) ∧ P+M=T ∧ Q<T
+//
+// Its item columns are registered as the schema layer registers them, so
+// plans drop type:item(I) wherever a stored literal of the same state
+// holds I.
 func inventory(tb testing.TB, n int) (*testEnv, *objectlog.Def) {
 	tb.Helper()
 	env := newTestEnv()
-	for name, arity := range map[string]int{"item": 1, "quantity": 2, "consume_freq": 2,
+	for name, arity := range map[string]int{item: 1, "quantity": 2, "consume_freq": 2,
 		"min_stock": 2, "supplies": 2, "delivery_time": 3} {
 		env.store.CreateRelation(name, arity, nil)
 		env.deltas[name] = delta.New()
+	}
+	isItem := []string{"item"}
+	for name, cols := range map[string][][]string{"quantity": {isItem, nil}, "consume_freq": {isItem, nil},
+		"min_stock": {isItem, nil}, "supplies": {nil, isItem}, "delivery_time": {isItem, nil, nil}} {
+		env.prog.SetColumnExtents(name, cols)
 	}
 	ins := func(rel string, vals ...int64) {
 		if _, err := env.store.Insert(rel, tup(vals...)); err != nil {
@@ -31,7 +40,7 @@ func inventory(tb testing.TB, n int) (*testEnv, *objectlog.Def) {
 	}
 	for i := int64(0); i < int64(n); i++ {
 		s := int64(n) + i
-		ins("item", i)
+		ins(item, i)
 		ins("quantity", i, 1000)
 		ins("consume_freq", i, 2)
 		ins("min_stock", i, 4)
@@ -40,7 +49,7 @@ func inventory(tb testing.TB, n int) (*testEnv, *objectlog.Def) {
 	}
 	v := objectlog.V
 	cnd := objectlog.NewClause(objectlog.Lit("cnd", v("I")),
-		objectlog.Lit("item", v("I")),
+		objectlog.Lit(item, v("I")),
 		objectlog.Lit("quantity", v("I"), v("Q")),
 		objectlog.Lit("consume_freq", v("I"), v("C")),
 		objectlog.Lit("supplies", v("S"), v("I")),
@@ -51,6 +60,9 @@ func inventory(tb testing.TB, n int) (*testEnv, *objectlog.Def) {
 		objectlog.Lit(objectlog.BuiltinLT, v("Q"), v("T")))
 	return env, &objectlog.Def{Name: "cnd", Arity: 1, Clauses: []objectlog.Clause{cnd}}
 }
+
+// item is the inventory's item extent.
+var item = objectlog.TypePred("item")
 
 // differential returns the named partial differential of def.
 func differential(tb testing.TB, def *objectlog.Def, name string) objectlog.Clause {
@@ -100,7 +112,7 @@ func TestMalformedBuiltinRejectedAtCompile(t *testing.T) {
 	} {
 		// Behind a literal that matches nothing: never reached, still
 		// rejected.
-		c := objectlog.NewClause(objectlog.Lit("h", x), objectlog.Lit("item", objectlog.CInt(-1)), objectlog.Lit("item", x), bad)
+		c := objectlog.NewClause(objectlog.Lit("h", x), objectlog.Lit(item, objectlog.CInt(-1)), objectlog.Lit(item, x), bad)
 		if _, err := ev.Compile(c); err == nil || !strings.Contains(err.Error(), "expects") {
 			t.Errorf("Compile with %s: %v, want an arity error", bad, err)
 		}

@@ -11,6 +11,7 @@ package objectlog
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -435,10 +436,33 @@ func (d *Def) Influents() []string {
 type Program struct {
 	defs  map[string]*Def
 	epoch uint64
+	// extents maps a stored relation to, per column, the types whose
+	// extents every value of that column lies in (SetColumnExtents).
+	extents map[string][][]string
 }
 
 // NewProgram returns an empty program.
-func NewProgram() *Program { return &Program{defs: map[string]*Def{}} }
+func NewProgram() *Program {
+	return &Program{defs: map[string]*Def{}, extents: map[string][][]string{}}
+}
+
+// SetColumnExtents records that every value in column i of the stored
+// relation pred lies in the extent of each type named in cols[i] — the
+// referential invariant the schema layer enforces on updates and
+// deletions. Evaluation relies on it to drop type-extent literals the
+// relation already implies, so a relation must not be registered unless
+// every state a plan reads satisfies it.
+func (p *Program) SetColumnExtents(pred string, cols [][]string) {
+	p.extents[pred] = cols
+	p.epoch++
+}
+
+// Implies reports whether every value in column col of pred lies in the
+// extent of typeName.
+func (p *Program) Implies(pred string, col int, typeName string) bool {
+	cols := p.extents[pred]
+	return col < len(cols) && slices.Contains(cols[col], typeName)
+}
 
 // Define registers a derived predicate definition, replacing any
 // previous definition of the same name.

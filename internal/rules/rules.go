@@ -905,6 +905,42 @@ func (m *Manager) OnEnd(committed bool) {
 	}
 }
 
+// Resync brings the monitor state that outlives a transaction back in
+// line with the store after the changed relations were written outside
+// every monitor (recovery's reconciliation of logged action events):
+// counted views they feed reseed before their next use, and the naive
+// monitor recomputes the previous truth sets of the conditions they
+// influence. Partial differencing keeps no such state, so with counting
+// off the incremental and hybrid monitors have nothing to do. Call it
+// outside a transaction.
+func (m *Manager) Resync(changed []string) error {
+	if m.net == nil {
+		return nil
+	}
+	if m.maintainer.Counting() {
+		m.net.MarkStale(changed)
+		m.maintainer.OnEnd(true) // no transaction will close the journal
+	}
+	if m.mode != Naive {
+		return nil
+	}
+	in := map[string]bool{}
+	for _, rel := range changed {
+		in[rel] = true
+	}
+	for _, a := range m.sortedActivations() {
+		if !m.affectedBy(a, in) {
+			continue
+		}
+		ext, err := m.net.Evaluator().EvalPred(a.CondName, false)
+		if err != nil {
+			return err
+		}
+		a.prevTrue = ext
+	}
+	return nil
+}
+
 // CheckInvariants verifies monitor-level invariants: the propagation
 // network's structure and, with quiescent set (no transaction active),
 // that no base Δ-set, wave-front Δ-set or pending trigger set survived

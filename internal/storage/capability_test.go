@@ -83,10 +83,10 @@ func TestCapabilityRecoveryBypass(t *testing.T) {
 	if err := st.LoadTuples("f", []types.Tuple{capTuple(1)}); err != nil {
 		t.Fatalf("LoadTuples under frozen capability: %v", err)
 	}
-	if err := st.ApplyLogged(Event{Relation: "f", Kind: InsertEvent, Tuple: capTuple(2)}); err != nil {
+	if _, err := st.ApplyLogged(Event{Relation: "f", Kind: InsertEvent, Tuple: capTuple(2)}); err != nil {
 		t.Fatalf("ApplyLogged insert under frozen capability: %v", err)
 	}
-	if err := st.ApplyLogged(Event{Relation: "f", Kind: DeleteEvent, Tuple: capTuple(1)}); err != nil {
+	if _, err := st.ApplyLogged(Event{Relation: "f", Kind: DeleteEvent, Tuple: capTuple(1)}); err != nil {
 		t.Fatalf("ApplyLogged delete under frozen capability: %v", err)
 	}
 	r, _ := st.Relation("f")

@@ -478,22 +478,19 @@ func (s *Store) LoadTuples(rel string, ts []types.Tuple) error {
 // or firing fault points — the recovery reconciliation path, which
 // converges the store on the logged post-commit state after replay
 // (idempotent under set semantics: re-inserting a present tuple or
-// deleting an absent one is a no-op). Outside recovery, use
-// Insert/Delete.
-func (s *Store) ApplyLogged(e Event) error {
+// deleting an absent one is a no-op, and reports changed false). Outside
+// recovery, use Insert/Delete.
+func (s *Store) ApplyLogged(e Event) (changed bool, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	r, ok := s.rels[e.Relation]
 	if !ok {
-		return fmt.Errorf("relation %q does not exist", e.Relation)
+		return false, fmt.Errorf("relation %q does not exist", e.Relation)
 	}
-	var err error
 	if e.Kind == InsertEvent {
-		_, err = r.insert(e.Tuple)
-	} else {
-		_, err = r.remove(e.Tuple)
+		return r.insert(e.Tuple)
 	}
-	return err
+	return r.remove(e.Tuple)
 }
 
 // Set performs a stored-function update: it retracts every tuple whose

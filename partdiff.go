@@ -533,10 +533,12 @@ func (db *DB) Atomic(ctx context.Context, fn func(*Tx) error) error {
 }
 
 // CheckInvariants verifies cross-layer consistency: storage
-// index↔tuple-set agreement, propagation-network level monotonicity,
-// and — outside a transaction — that no Δ-set or pending trigger set
-// survived the last check phase. It returns nil on a healthy database
-// and the first violation (or the sticky ErrCorrupt) otherwise.
+// index↔tuple-set agreement, every object a stored function refers to
+// lying in its column type's extent, propagation-network level
+// monotonicity, and — outside a transaction — that no Δ-set or pending
+// trigger set survived the last check phase. It returns nil on a
+// healthy database and the first violation (or the sticky ErrCorrupt)
+// otherwise.
 func (db *DB) CheckInvariants() error { return db.sess.CheckInvariants() }
 
 // RegisterProcedure exposes a Go function as an AMOSQL procedure for
