@@ -251,9 +251,51 @@ func (s *Session) getIface(name string) (types.Value, bool) {
 	return v, ok
 }
 
+// setIface binds name for the gate holder. Inside a transaction the
+// first rebinding of a variable journals its previous binding, which
+// rollback restores (settleIface).
 func (s *Session) setIface(name string, v types.Value) {
 	s.ifaceMu.Lock()
+	if s.txns.InTransaction() {
+		if _, seen := s.ifaceUndo[name]; !seen {
+			prev, ok := s.iface[name]
+			if s.ifaceUndo == nil {
+				s.ifaceUndo = map[string]ifaceBinding{}
+			}
+			s.ifaceUndo[name] = ifaceBinding{v: prev, ok: ok}
+		}
+	}
 	s.iface[name] = v
+	s.ifaceMu.Unlock()
+}
+
+// setIfaceUnjournaled binds name for a caller that may not hold the
+// gate, and so cannot ask whether a transaction is open: the binding is
+// outside any transaction's undo.
+func (s *Session) setIfaceUnjournaled(name string, v types.Value) {
+	s.ifaceMu.Lock()
+	s.iface[name] = v
+	s.ifaceMu.Unlock()
+}
+
+// settleIface ends the transaction's journal of rebound variables: a
+// rollback puts every journaled variable back as it was before the
+// transaction, a commit keeps the new bindings.
+func (s *Session) settleIface(committed bool) {
+	if len(s.ifaceUndo) == 0 {
+		return
+	}
+	s.ifaceMu.Lock()
+	if !committed {
+		for name, b := range s.ifaceUndo {
+			if b.ok {
+				s.iface[name] = b.v
+			} else {
+				delete(s.iface, name)
+			}
+		}
+	}
+	clear(s.ifaceUndo)
 	s.ifaceMu.Unlock()
 }
 

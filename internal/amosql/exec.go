@@ -52,6 +52,10 @@ type Session struct {
 	// transaction: a rollback retracts their extent memberships, so they
 	// die in the catalog too.
 	pendingCreates []pendingObject
+	// ifaceUndo journals the binding each interface variable had before
+	// the running transaction first rebound it (setIface); rollback
+	// restores them. Written by the gate holder under ifaceMu.
+	ifaceUndo map[string]ifaceBinding
 
 	// lintMode turns rule actions into no-ops, so a script can be
 	// executed for analysis only (the \lint and -lint paths) without
@@ -133,6 +137,13 @@ type Session struct {
 type pendingObject struct {
 	varName string
 	oid     types.OID
+}
+
+// ifaceBinding is an interface variable's binding, or (ok false) its
+// absence.
+type ifaceBinding struct {
+	v  types.Value
+	ok bool
 }
 
 // NewSession creates a session with the given monitoring mode.
@@ -248,20 +259,23 @@ func (s *Session) IfaceVar(name string) (types.Value, bool) {
 
 // SetIfaceVar binds a session interface variable. With a data directory
 // attached, a binding made outside a transaction is logged immediately
-// (RecIface); one made inside a transaction rides in the commit record.
-// Only the logging needs the writer gate — it places the binding in the
-// log's record order — so an in-memory session binds under the map's own
-// lock and never asks who holds the gate (a rule action calling SetVar
-// would pay a thread-id read for the answer). If admission fails (deadline
-// expiry on a stuck session) the binding still lands in memory — the
-// historical best-effort contract — but is not logged.
+// (RecIface); one made inside a transaction rides in the commit record,
+// and the transaction's rollback undoes it like a binding made by
+// `create ... instances`. Only the logging needs the writer gate — it
+// places the binding in the log's record order — so an in-memory session
+// binds under the map's own lock and never asks who holds the gate (a
+// rule action calling SetVar would pay a thread-id read for the answer);
+// such a binding is outside any transaction and survives its rollback.
+// If admission fails (deadline expiry on a stuck session) the binding
+// still lands in memory — the historical best-effort contract — but is
+// not logged.
 func (s *Session) SetIfaceVar(name string, v types.Value) {
 	if s.walLive.Load() == nil {
-		s.setIface(name, v)
+		s.setIfaceUnjournaled(name, v)
 		return
 	}
 	if err := s.enterCtx(context.Background()); err != nil {
-		s.setIface(name, v)
+		s.setIfaceUnjournaled(name, v)
 		return
 	}
 	var err error
@@ -772,12 +786,20 @@ func (s *Session) execCreateFunction(x CreateFunction) (Result, error) {
 		}
 		// Updates and deletions keep every object value of the relation in
 		// its column type's extents; compiled plans drop the type literals
-		// this implies.
+		// this implies. Only the non-scalar columns can hold an object, so
+		// only they are searched when one is deleted.
 		cols := make([][]string, f.Arity())
+		var objCols []int
 		for i, tn := range f.ColumnTypes() {
 			cols[i] = s.cat.ImpliedExtents(tn)
+			if !catalog.IsScalarType(tn) {
+				objCols = append(objCols, i)
+			}
 		}
 		s.mgr.Program().SetColumnExtents(x.Name, cols)
+		if err := s.store.SetObjectColumns(x.Name, objCols); err != nil {
+			return Result{}, err
+		}
 		s.mgr.InvalidateAnalysis()
 		return Result{Message: fmt.Sprintf("stored function %s created", x.Name)}, nil
 	}
@@ -1115,11 +1137,14 @@ func (s *Session) execExplain(x ExplainStmt) (Result, error) {
 	return Result{Message: strings.TrimRight(sb.String(), "\n")}, nil
 }
 
-// finishDeletes settles the catalog at transaction end. A commit
-// destroys the deleted objects; a rollback destroys the created ones,
-// whose extent memberships inverse replay just retracted, while the
-// deleted objects, whose footprint it restored, stay alive.
+// finishDeletes settles the catalog and the interface variables at
+// transaction end. A commit destroys the deleted objects; a rollback
+// rebinds the variables the transaction rebound to what they named
+// before it, and destroys the created objects, whose extent memberships
+// inverse replay just retracted, while the deleted objects, whose
+// footprint it restored, stay alive.
 func (s *Session) finishDeletes(committed bool) {
+	s.settleIface(committed)
 	dead := s.pendingCreates
 	if committed {
 		dead = s.pendingDeletes

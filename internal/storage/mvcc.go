@@ -344,6 +344,9 @@ func (v snapSource) Each(fn func(types.Tuple) bool) {
 	}
 }
 
+// Lookup probes the column's index, building it first under the read
+// latch it takes anyway — in a self-join, the one its view already
+// holds (index.go).
 func (v snapSource) Lookup(col int, val types.Value, fn func(types.Tuple) bool) {
 	if col < 0 || col >= v.r.arity {
 		return
@@ -351,11 +354,10 @@ func (v snapSource) Lookup(col int, val types.Value, fn func(types.Tuple) bool) 
 	v.acquire()
 	defer v.release()
 	v.r.met.IndexProbes.Inc()
-	if s := v.r.posting(col, val); s != nil {
-		v.r.met.Reads.Add(int64(s.Len()))
-		if v.eachLive(s, fn) {
-			return
-		}
+	p := v.r.probe(col, val)
+	v.r.met.Reads.Add(int64(p.len()))
+	if p.eachH(func(h uint64, t types.Tuple) bool { return v.hidden(h, t) || fn(t) }) {
+		return
 	}
 	if v.r.dead.Len() == 0 {
 		return

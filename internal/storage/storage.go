@@ -1,7 +1,8 @@
 // Package storage implements the in-memory extensional database: named
-// base relations (the extents of stored functions) with per-column hash
-// indexes, plus the physical update event stream that the rule monitor
-// taps to accumulate Δ-sets (§4.1 of the paper).
+// base relations (the extents of stored functions) with a hash index on
+// each column that is probed (index.go), plus the physical update event
+// stream that the rule monitor taps to accumulate Δ-sets (§4.1 of the
+// paper).
 //
 // Updates to stored functions follow AMOS semantics: `set f(k)=v` first
 // removes the old value tuples for the key and then adds the new one,
@@ -10,6 +11,7 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -79,21 +81,21 @@ type Source interface {
 	Contains(t types.Tuple) bool
 }
 
-// Relation is a stored base relation with per-column hash indexes.
+// Relation is a stored base relation with a hash index on each column
+// that is probed.
 type Relation struct {
 	name    string
 	arity   int
 	keyCols []int
 	rows    types.Set
-	// index[col] maps a column value — as the one-column tuple (v) — to
-	// the posting set of rows holding it, stored in the table slot
-	// itself. A key is a sub-slice of the first row filed under it (no
-	// copy, no allocation per new distinct value), so it can keep that
-	// row's backing array alive after the row is deleted — at most one
-	// dead row per distinct value, while other rows still share it; an
-	// entry is dropped when its posting set drains.
-	index []types.Map[types.Set]
-	met   *Metrics // never nil; zero-value Metrics when observability is off
+	// index[col] is column col's index, nil until the column is first
+	// probed (index.go); the slice itself is nil for an arity-1
+	// relation, whose rows are its index.
+	index []atomic.Pointer[colIndex]
+	// objCols are the columns that can hold objects (SetObjectColumns);
+	// nil means undeclared, and every column is searched.
+	objCols []int
+	met     *Metrics // never nil; zero-value Metrics when observability is off
 
 	// MVCC sidecar (see mvcc.go), guarded by latch: added maps each
 	// recently-added live row to its write sequence, dead holds the
@@ -120,7 +122,9 @@ func NewRelation(name string, arity int, keyCols []int) (*Relation, error) {
 		}
 	}
 	r := &Relation{name: name, arity: arity, keyCols: append([]int(nil), keyCols...), met: &Metrics{}}
-	r.index = make([]types.Map[types.Set], arity)
+	if arity > 1 {
+		r.index = make([]atomic.Pointer[colIndex], arity)
+	}
 	return r, nil
 }
 
@@ -154,25 +158,17 @@ func (r *Relation) Tuples() []types.Tuple { return r.rows.Tuples() }
 // Rows returns the live tuple set (callers must not mutate it).
 func (r *Relation) Rows() *types.Set { return &r.rows }
 
-// Lookup iterates tuples with column col equal to v using the hash
-// index.
+// Lookup iterates tuples with column col equal to v using the column's
+// hash index, which the first probe builds. It is the gate holder's
+// live read path.
 func (r *Relation) Lookup(col int, v types.Value, fn func(types.Tuple) bool) {
 	if col < 0 || col >= r.arity {
 		return
 	}
 	r.met.IndexProbes.Inc()
-	if s := r.posting(col, v); s != nil {
-		r.met.Reads.Add(int64(s.Len()))
-		s.Each(fn)
-	}
-}
-
-// posting returns the posting set of column value v, or nil; it is
-// valid until the index is next written. The probe key lives on the
-// stack: an index lookup allocates nothing.
-func (r *Relation) posting(col int, v types.Value) *types.Set {
-	key := [1]types.Value{v}
-	return r.index[col].Find(key[:])
+	p := r.probe(col, v)
+	r.met.Reads.Add(int64(p.len()))
+	p.eachH(func(_ uint64, t types.Tuple) bool { return fn(t) })
 }
 
 // LookupCount returns the number of tuples with column col equal to v.
@@ -181,7 +177,8 @@ func (r *Relation) LookupCount(col int, v types.Value) int {
 		return 0
 	}
 	r.met.IndexProbes.Inc()
-	return r.posting(col, v).Len()
+	p := r.probe(col, v)
+	return p.len()
 }
 
 // insert adds t with no version bookkeeping — the recovery path, which
@@ -217,52 +214,6 @@ func (r *Relation) remove(t types.Tuple) (bool, error) {
 	r.met.Deletes.Inc()
 	r.indexRemove(h, t)
 	return true, nil
-}
-
-// indexAdd indexes t (hash h) under every column. Caller holds the
-// latch and has added t to rows.
-func (r *Relation) indexAdd(h uint64, t types.Tuple) {
-	for col := range t {
-		s, _ := r.index[col].Ref(t[col : col+1 : col+1])
-		s.AddH(h, t)
-	}
-}
-
-// indexRemove unindexes t (hash h) from every column. Caller holds the
-// latch and has removed t from rows.
-func (r *Relation) indexRemove(h uint64, t types.Tuple) {
-	for col := range t {
-		key := t[col : col+1]
-		kh := key.Hash()
-		if s := r.index[col].FindH(kh, key); s != nil {
-			s.RemoveH(h, t)
-			if s.Len() == 0 {
-				r.index[col].DeleteH(kh, key)
-			}
-		}
-	}
-}
-
-// keyMatches returns the tuples whose key columns equal key, using the
-// index on the first key column.
-func (r *Relation) keyMatches(key []types.Value) []types.Tuple {
-	if len(key) != len(r.keyCols) || len(key) == 0 {
-		return nil
-	}
-	var out []types.Tuple
-	r.Lookup(r.keyCols[0], key[0], func(t types.Tuple) bool {
-		for i, c := range r.keyCols {
-			if !t[c].KeyEqual(key[i]) {
-				return true
-			}
-		}
-		out = append(out, t)
-		return true
-	})
-	if len(out) > 1 {
-		sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
-	}
-	return out
 }
 
 // Store is the collection of base relations plus the physical event
@@ -495,48 +446,50 @@ func (s *Store) ApplyLogged(e Event) (changed bool, err error) {
 
 // Set performs a stored-function update: it retracts every tuple whose
 // key columns equal key, then asserts key ++ value. Physical events are
-// emitted in paper order (− before +). It returns the retracted tuples.
-func (s *Store) Set(rel string, key []types.Value, value []types.Value) ([]types.Tuple, error) {
-	old, changed, err := s.setTx(rel, key, value)
+// emitted in paper order (− before +); the listeners see the retracted
+// tuples. It returns how many tuples it retracted.
+func (s *Store) Set(rel string, key []types.Value, value []types.Value) (retracted int, err error) {
+	retracted, changed, err := s.setTx(rel, key, value)
 	// Advance even on a mid-Set fault: outside a transaction nothing
 	// undoes the retractions already applied, so they must be visible.
 	if changed && s.txnDepth.Load() == 0 {
 		s.AdvanceCommit([]string{rel})
 	}
-	return old, err
+	return retracted, err
 }
 
-func (s *Store) setTx(rel string, key []types.Value, value []types.Value) ([]types.Tuple, bool, error) {
+func (s *Store) setTx(rel string, key []types.Value, value []types.Value) (int, bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	r, ok := s.rels[rel]
 	if !ok {
-		return nil, false, fmt.Errorf("relation %q does not exist", rel)
+		return 0, false, fmt.Errorf("relation %q does not exist", rel)
 	}
 	if len(key) != len(r.keyCols) {
-		return nil, false, fmt.Errorf("relation %q: key arity %d, want %d", rel, len(key), len(r.keyCols))
+		return 0, false, fmt.Errorf("relation %q: key arity %d, want %d", rel, len(key), len(r.keyCols))
 	}
 	nt := make(types.Tuple, 0, len(key)+len(value))
 	nt = append(nt, key...)
 	nt = append(nt, value...)
 	if len(nt) != r.arity {
-		return nil, false, fmt.Errorf("relation %q: set arity %d, want %d", rel, len(nt), r.arity)
+		return 0, false, fmt.Errorf("relation %q: set arity %d, want %d", rel, len(nt), r.arity)
 	}
-	old := r.keyMatches(key)
+	var buf [1]types.Tuple
+	old := r.keyMatches(key, &buf)
 	// If the new tuple is already the (only) current value, Set is a
 	// no-op and emits nothing — there is no physical change.
 	if len(old) == 1 && old[0].KeyEqual(nt) {
-		return nil, false, nil
+		return 0, false, nil
 	}
 	// Capability enforcement happens before any mutation so a rejected
 	// Set leaves the store clean: the insert bit is always needed, the
 	// delete bit only when old values must be retracted.
 	if err := s.checkCapability(rel, InsertEvent); err != nil {
-		return nil, false, err
+		return 0, false, err
 	}
 	if len(old) > 0 {
 		if err := s.checkCapability(rel, DeleteEvent); err != nil {
-			return nil, false, err
+			return 0, false, err
 		}
 	}
 	changed := false
@@ -545,7 +498,7 @@ func (s *Store) setTx(rel string, key []types.Value, value []types.Value) ([]typ
 		// A fault here leaves earlier retractions applied (and their
 		// events emitted), so the undo log can still restore them.
 		if err := s.inj.Fire(faultinject.StoreDelete); err != nil {
-			return nil, changed, err
+			return 0, changed, err
 		}
 		if removed, _ := r.removeAt(t, seq); removed {
 			s.dirty[rel] = struct{}{}
@@ -554,20 +507,42 @@ func (s *Store) setTx(rel string, key []types.Value, value []types.Value) ([]typ
 		}
 	}
 	if err := s.inj.Fire(faultinject.StoreInsert); err != nil {
-		return nil, changed, err
+		return 0, changed, err
 	}
 	if added, _ := r.insertAt(nt, seq); added {
 		s.dirty[rel] = struct{}{}
 		changed = true
 		s.emit(Event{Relation: rel, Kind: InsertEvent, Tuple: nt})
 	}
-	return old, changed, nil
+	return len(old), changed, nil
+}
+
+// SetObjectColumns declares the columns of rel that can hold objects —
+// those whose declared type is not a scalar. TuplesReferencing searches
+// only these, so an object deletion never builds an index on a column
+// that cannot hold one. An undeclared relation is searched in every
+// column.
+func (s *Store) SetObjectColumns(rel string, cols []int) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	r, ok := s.rels[rel]
+	if !ok {
+		return fmt.Errorf("relation %q does not exist", rel)
+	}
+	for _, c := range cols {
+		if c < 0 || c >= r.arity {
+			return fmt.Errorf("relation %q: object column %d out of range", rel, c)
+		}
+	}
+	r.objCols = append(make([]int, 0, len(cols)), cols...)
+	return nil
 }
 
 // TuplesReferencing returns, per relation, the tuples in which value v
-// appears in any column — the foot-print that must be retracted when an
-// object is deleted. Relations are keyed by name; tuple order within a
-// relation is deterministic.
+// appears in any column that can hold it (SetObjectColumns) — the
+// foot-print that must be retracted when an object is deleted.
+// Relations are keyed by name; tuple order within a relation is
+// deterministic.
 func (s *Store) TuplesReferencing(v types.Value) map[string][]types.Tuple {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -575,6 +550,9 @@ func (s *Store) TuplesReferencing(v types.Value) map[string][]types.Tuple {
 	for name, r := range s.rels {
 		seen := types.NewSet()
 		for col := 0; col < r.arity; col++ {
+			if r.objCols != nil && !slices.Contains(r.objCols, col) {
+				continue
+			}
 			r.Lookup(col, v, func(t types.Tuple) bool {
 				seen.Add(t)
 				return true
@@ -603,9 +581,11 @@ func (s *Store) Snapshot() map[string][]types.Tuple {
 }
 
 // CheckInvariants verifies index↔tuple-set consistency of every
-// relation: each row is indexed under every column, each index entry
-// points at a live row with the matching column value, and per-column
-// index cardinalities sum to the row count.
+// relation: a type extent keeps no index; each built column index
+// covers exactly the rows — every row filed under its value, every
+// posting a live row of that value, the postings summing to the row
+// count — no posting is empty, and an inline posting carries its row's
+// hash.
 func (s *Store) CheckInvariants() error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -628,6 +608,9 @@ func (r *Relation) checkConsistency() error {
 	if err := r.checkVersions(); err != nil {
 		return err
 	}
+	if r.arity == 1 && r.index != nil {
+		return fmt.Errorf("relation %q: a type extent keeps a column index", r.name)
+	}
 	var err error
 	r.rows.EachH(func(h uint64, t types.Tuple) bool {
 		if len(t) != r.arity {
@@ -638,8 +621,17 @@ func (r *Relation) checkConsistency() error {
 			err = fmt.Errorf("relation %q: row %s is filed under hash %#x, its hash is %#x", r.name, t, h, t.Hash())
 			return false
 		}
-		for col, v := range t {
-			if s := r.posting(col, v); !s.ContainsH(h, t) {
+		for col := range r.index {
+			ix := r.index[col].Load()
+			if ix == nil {
+				continue
+			}
+			p := ix.Find(t[col : col+1])
+			if p != nil && p.set == nil && p.row.KeyEqual(t) && p.h != h {
+				err = fmt.Errorf("relation %q: inline posting of %s on column %d carries hash %#x, its row's is %#x", r.name, t, col, p.h, h)
+				return false
+			}
+			if !p.containsH(h, t) {
 				err = fmt.Errorf("relation %q: row %s missing from index on column %d", r.name, t, col)
 				return false
 			}
@@ -650,14 +642,18 @@ func (r *Relation) checkConsistency() error {
 		return err
 	}
 	for col := range r.index {
+		ix := r.index[col].Load()
+		if ix == nil {
+			continue
+		}
 		total := 0
-		r.index[col].Each(func(_ uint64, key types.Tuple, s *types.Set) bool {
-			if s.Len() == 0 {
+		ix.Each(func(_ uint64, key types.Tuple, p *posting) bool {
+			if p.len() == 0 {
 				err = fmt.Errorf("relation %q: index on column %d keeps an empty posting set for %s", r.name, col, key)
 				return false
 			}
-			total += s.Len()
-			s.Each(func(t types.Tuple) bool {
+			total += p.len()
+			p.eachH(func(_ uint64, t types.Tuple) bool {
 				if !r.rows.Contains(t) {
 					err = fmt.Errorf("relation %q: index on column %d holds phantom tuple %s", r.name, col, t)
 					return false
@@ -697,7 +693,8 @@ func (s *Store) Get(rel string, key []types.Value) ([][]types.Value, error) {
 		return out, nil
 	}
 	var out [][]types.Value
-	for _, t := range r.keyMatches(key) {
+	var buf [1]types.Tuple
+	for _, t := range r.keyMatches(key, &buf) {
 		out = append(out, []types.Value(t[len(r.keyCols):]))
 	}
 	return out, nil

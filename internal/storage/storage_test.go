@@ -121,12 +121,12 @@ func TestSetReplacesAllKeyMatches(t *testing.T) {
 	s.Insert("f", tup(1, 10))
 	s.Insert("f", tup(1, 20))
 	s.Insert("f", tup(2, 99))
-	old, err := s.Set("f", []types.Value{types.Int(1)}, []types.Value{types.Int(30)})
+	retracted, err := s.Set("f", []types.Value{types.Int(1)}, []types.Value{types.Int(30)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(old) != 2 {
-		t.Errorf("retracted %d tuples, want 2", len(old))
+	if retracted != 2 {
+		t.Errorf("retracted %d tuples, want 2", retracted)
 	}
 	r, _ := s.Relation("f")
 	if r.Len() != 2 || !r.Contains(tup(1, 30)) || !r.Contains(tup(2, 99)) {

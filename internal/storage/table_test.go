@@ -3,6 +3,7 @@ package storage
 import (
 	"math"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"partdiff/internal/types"
@@ -100,14 +101,11 @@ func TestRelationReadsDoNotAllocate(t *testing.T) {
 }
 
 // setAllocBudget is what one value-replacing Store.Set may allocate
-// inside a transaction scope, amortised: the new tuple, the retracted
-// tuples' slice, the tombstone, and a fresh posting-set array for each
-// of the two columns (the key's posting set drains and is refilled, the
-// new value's is usually new) — 5, plus table growth, which amortises
-// to well under 1. Before tuples were hashed in place this was 54: the
-// same few plus a key string, or several, for every structure the two
-// tuples are filed under.
-const setAllocBudget = 7
+// inside a transaction scope, amortised: the new tuple and the
+// tombstone. The key match comes back in a stack buffer, the key
+// column's posting is held inline in its index slot, and the value
+// column, which nothing probes, has no index to maintain.
+const setAllocBudget = 2
 
 func TestStoreSetAllocationBudget(t *testing.T) {
 	s, _ := populated(t, 1000)
@@ -186,62 +184,89 @@ func TestSidecarServesSnapshotThenDrains(t *testing.T) {
 
 // CheckInvariants must still catch each kind of damage to the rewritten
 // structures: corrupt one at a time and demand the specific complaint.
+// Column 0 (the key) is built by the Sets that populate the relation
+// and holds inline postings; column 1 is built by a probe here and
+// holds two rows per value, in posting sets.
 func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 	row := func(i int) types.Tuple { return types.Tuple{types.Obj(types.OID(i)), types.Int(int64(i % 50))} }
 	ghost := types.Tuple{types.Obj(9999), types.Int(1)}
+	post := func(r *Relation, col int, v types.Value) *posting { return r.index[col].Load().Find(types.Tuple{v}) }
 	for _, tc := range []struct {
 		name    string
-		corrupt func(r *Relation)
+		corrupt func(s *Store, r *Relation)
 		want    string
 	}{
-		{"row missing from an index", func(r *Relation) {
+		{"row missing from an index", func(_ *Store, r *Relation) {
 			t := row(5)
-			r.posting(1, t[1]).Remove(t)
+			post(r, 1, t[1]).remove(t.Hash(), t)
 		}, "missing from index on column 1"},
-		{"phantom index entry", func(r *Relation) {
-			p, _ := r.index[0].Ref(ghost[0:1])
-			p.Add(ghost)
+		{"phantom index entry", func(_ *Store, r *Relation) {
+			p, _ := r.index[0].Load().Ref(ghost[0:1])
+			p.add(ghost.Hash(), ghost)
 		}, "phantom tuple"},
-		{"row indexed under the wrong value", func(r *Relation) {
+		{"row indexed under the wrong value", func(_ *Store, r *Relation) {
 			t := row(5)
-			r.posting(1, t[1]).Remove(t)
-			r.posting(1, types.Int(6)).Add(t)
+			post(r, 1, t[1]).remove(t.Hash(), t)
+			post(r, 1, types.Int(6)).add(t.Hash(), t)
 		}, "missing from index on column 1"},
-		{"posting set holds a row of another value", func(r *Relation) {
+		{"posting set holds a row of another value", func(_ *Store, r *Relation) {
 			// Filed under 6 as well as under its own 5: every row is
 			// still indexed, but the entry under 6 is wrong.
-			r.posting(1, types.Int(6)).Add(row(5))
+			post(r, 1, types.Int(6)).add(row(5).Hash(), row(5))
 		}, "indexed under wrong key"},
-		{"drained posting set left behind", func(r *Relation) {
-			r.index[1].Ref(types.Tuple{types.Int(777)})
+		{"drained posting set left behind", func(_ *Store, r *Relation) {
+			r.index[1].Load().Ref(types.Tuple{types.Int(777)})
 		}, "empty posting set"},
-		{"row filed under a stale hash", func(r *Relation) {
+		{"drained inline posting left behind", func(_ *Store, r *Relation) {
+			t := row(5)
+			post(r, 0, t[0]).remove(t.Hash(), t)
+		}, "missing from index on column 0"},
+		{"inline posting under a stale hash", func(_ *Store, r *Relation) {
+			post(r, 0, row(5)[0]).h ^= 0xff00
+		}, "inline posting of"},
+		{"inline posting of a row of another value", func(_ *Store, r *Relation) {
+			p := post(r, 0, row(6)[0])
+			p.row, p.h = row(5), row(5).Hash()
+		}, "missing from index on column 0"},
+		{"built column misses a row filed nowhere", func(_ *Store, r *Relation) {
+			// A row added behind the index's back (not by a writer).
+			r.rows.Add(ghost)
+		}, "missing from index on column 0"},
+		{"type extent keeps an index", func(s *Store, _ *Relation) {
+			x, _ := s.CreateRelation("type:item", 1, nil)
+			x.index = make([]atomic.Pointer[colIndex], 1)
+		}, "type extent keeps a column index"},
+		{"row filed under a stale hash", func(_ *Store, r *Relation) {
 			t := row(5)
 			r.rows.Remove(t)
 			r.rows.AddH(t.Hash()^0xff00, t)
 		}, "is filed under hash"},
-		{"sidecar marks a missing row", func(r *Relation) {
+		{"sidecar marks a missing row", func(_ *Store, r *Relation) {
 			a, _ := r.added.Ref(ghost)
 			*a = 3
 		}, "marks missing row"},
-		{"tombstone under the wrong tuple", func(r *Relation) {
+		{"tombstone under the wrong tuple", func(_ *Store, r *Relation) {
 			ds, _ := r.dead.Ref(ghost)
 			*ds = append(*ds, deadRow{t: row(1), addSeq: 1, delSeq: 2})
 		}, "tombstone keyed"},
-		{"tombstone deleted before added", func(r *Relation) {
+		{"tombstone deleted before added", func(_ *Store, r *Relation) {
 			ds, _ := r.dead.Ref(ghost)
 			*ds = append(*ds, deadRow{t: ghost, addSeq: 5, delSeq: 5})
 		}, "before added"},
-		{"empty tombstone list", func(r *Relation) {
+		{"empty tombstone list", func(_ *Store, r *Relation) {
 			r.dead.Ref(ghost)
 		}, "empty tombstone list"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s, r := populated(t, 100)
+			r.Lookup(1, types.Int(0), func(types.Tuple) bool { return true })
+			if r.index[0].Load() == nil || r.index[1].Load() == nil {
+				t.Fatal("columns 0 and 1 should both be built")
+			}
 			if err := s.CheckInvariants(); err != nil {
 				t.Fatalf("before corruption: %v", err)
 			}
-			tc.corrupt(r)
+			tc.corrupt(s, r)
 			err := s.CheckInvariants()
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("CheckInvariants = %v, want an error containing %q", err, tc.want)

@@ -64,6 +64,19 @@ func (s *Set) ContainsH(h uint64, t Tuple) bool {
 	return s != nil && s.m.find(h, t) >= 0
 }
 
+// GetH returns the set's own copy of t (whose hash is h), if t is in
+// the set: a caller may keep it where it must not keep its probe key.
+// Safe on a nil receiver.
+func (s *Set) GetH(h uint64, t Tuple) (Tuple, bool) {
+	if s == nil {
+		return nil, false
+	}
+	if i := s.m.find(h, t); i >= 0 {
+		return s.m.slots[i].key, true
+	}
+	return nil, false
+}
+
 // Each calls fn for every tuple; iteration stops if fn returns false.
 // Safe on a nil receiver. The iteration order is unspecified.
 //

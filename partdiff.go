@@ -583,7 +583,11 @@ func (db *DB) DeclareCapability(rel string, c Capability) error {
 // after `create item instances :item1`).
 func (db *DB) Var(name string) (Value, bool) { return db.sess.IfaceVar(name) }
 
-// SetVar binds a session interface variable.
+// SetVar binds a session interface variable. On a database with a data
+// directory, a binding made inside a transaction is undone by the
+// transaction's rollback, like one made by `create ... instances :v`. On
+// an in-memory database SetVar binds outside any transaction, so the
+// binding survives a rollback.
 func (db *DB) SetVar(name string, v Value) { db.sess.SetIfaceVar(name, v) }
 
 // Explanations returns the explanations recorded during the most recent
